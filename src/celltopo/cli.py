@@ -11,11 +11,11 @@ import argparse
 import sys
 
 from . import io as dio
-from .complexes import check_regular, is_closed_manifold
+from .complexes import check_regular, is_closed
 from .errors import InputError, PreconditionError, UnsupportedConfiguration
 from .flatness import build_collar, is_locally_flat
-from .separation import (components_of_complement, contract_to_cell,
-                         verify_contraction_trace)
+from .separation import (_submanifold_cells, components_of_complement,
+                         contract_to_cell, verify_contraction_trace)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -62,9 +62,6 @@ def _pick_chain(chains: dict, name: str | None):
 def cmd_check(args) -> int:
     space, chains = _load(args.file)
     report = check_regular(space)
-    closed = None
-    if report:
-        closed = is_closed_manifold(space)
     print("vertices %d edges %d top-dim %d oriented %s"
           % (space.n_vertices, len(space.edges), space.top_dim,
              "yes" if space.oriented else "no"))
@@ -73,6 +70,8 @@ def cmd_check(args) -> int:
     if chains:
         print("chains: %s" % ", ".join(sorted(chains)))
     if report:
+        # clause 2 leaves every face in one or two top cells
+        closed = is_closed(space, space.cells_of_dim(space.top_dim))
         print("regular: pass")
         print("closed: %s" % ("yes" if closed else "no"))
         return EXIT_OK
@@ -154,8 +153,7 @@ def cmd_contract(args) -> int:
         return EXIT_VIOLATION
     component = report.components[idx]
     k = space.top_dim
-    barrier = frozenset((1, e) for e in chain.edge_set()) \
-        if chain.dim == 1 else frozenset(chain.cells)
+    barrier = _submanifold_cells(space, chain)
     if args.seed is not None:
         top = space.cells_of_dim(k)
         if not (0 <= args.seed < len(top)):
@@ -257,14 +255,12 @@ def main(argv=None) -> int:
     p = sub.add_parser("flat", help="local flatness of a named chain")
     p.add_argument("file")
     p.add_argument("--chain")
-    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_flat)
 
     p = sub.add_parser("separate", help="components of the complement")
     p.add_argument("file")
     p.add_argument("--chain")
     p.add_argument("--out")
-    p.add_argument("--warn-only-flatness", action="store_true")
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("contract", help="contract a component to one cell")
@@ -273,7 +269,6 @@ def main(argv=None) -> int:
     p.add_argument("--component", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out")
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--warn-only-flatness", action="store_true")
     p.set_defaults(func=cmd_contract)
 

@@ -192,8 +192,7 @@ class DiscreteSpace:
                         if c[0] == d - 1 and set(c[1]) <= set(verts)))
                 else:
                     bnd = tuple(sorted(bnd))
-                self._validate_boundary(d, verts, bnd)
-                loop = self._boundary_loop(verts, bnd) if d == 2 else None
+                loop = self._validate_boundary(d, verts, bnd)
                 self.cells[cid] = Cell(d, verts, bnd, loop)
 
         self._check_well_attachment()
@@ -205,6 +204,7 @@ class DiscreteSpace:
     # -- construction-time validation -------------------------------------
 
     def _validate_boundary(self, d: int, verts: tuple, bnd: tuple):
+        """Check a d-cell's boundary; returns the vertex loop of a 2-cell."""
         cid = (d, verts)
         if not bnd:
             raise InputError("%r has an empty boundary" % (cid,))
@@ -219,12 +219,10 @@ class DiscreteSpace:
             raise InputError("%r: boundary cells cover %r, not the cell's "
                              "vertex set" % (cid, tuple(sorted(cover))))
         if d == 2:
-            # Boundary must be a simple closed edge cycle with no chords in G.
-            deg: dict = {}
-            for b in bnd:
-                for v in b[1]:
-                    deg[v] = deg.get(v, 0) + 1
-            if any(k != 2 for k in deg.values()) or len(bnd) != len(verts):
+            # Boundary must be a simple closed edge cycle with no chords in G;
+            # its walk from the smallest vertex is the cell's loop.
+            loop = walk(b[1] for b in bnd)
+            if loop is None or len(loop) != len(bnd):
                 raise InputError("%r: boundary edges do not form a simple "
                                  "closed cycle" % (cid,))
             for u, v in itertools.combinations(verts, 2):
@@ -232,64 +230,15 @@ class DiscreteSpace:
                 if e in self.edges and (1, e) not in bnd:
                     raise InputError("%r: chord %r makes the boundary cycle "
                                      "non-minimal" % (cid, e))
-        else:
-            # Each (d-2)-face of the boundary lies in exactly two boundary
-            # cells (a closed pseudo-cycle), the cycle is connected, and no
-            # proper subset of it is itself closed.
-            if not self._is_closed_cycle(bnd):
-                raise InputError("%r: boundary is not a closed cycle of "
-                                 "%d-cells" % (cid, d - 1))
-            if len(bnd) <= 20:
-                for r in range(1, len(bnd)):
-                    for sub in itertools.combinations(bnd, r):
-                        if self._is_closed_cycle(sub):
-                            raise InputError(
-                                "%r: boundary contains the proper sub-cycle %r"
-                                % (cid, sub))
-
-    def _is_closed_cycle(self, cells) -> bool:
-        """True iff every next-lower face of ``cells`` lies in exactly two of
-        them and the cells are connected through those shared faces."""
-        cells = tuple(cells)
-        if not cells:
-            return False
-        count: dict = {}
-        for c in cells:
-            for f in self.cells[c].boundary:
-                count[f] = count.get(f, 0) + 1
-        if any(n != 2 for n in count.values()):
-            return False
-        adj: dict = {c: set() for c in cells}
-        by_face: dict = {}
-        for c in cells:
-            for f in self.cells[c].boundary:
-                by_face.setdefault(f, []).append(c)
-        for f, cs in by_face.items():
-            for a, b in itertools.combinations(cs, 2):
-                adj[a].add(b)
-                adj[b].add(a)
-        seen = {cells[0]}
-        stack = [cells[0]]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == len(cells)
-
-    def _boundary_loop(self, verts: tuple, bnd: tuple) -> tuple:
-        """Order a 2-cell's boundary edges into a canonical vertex cycle."""
-        nbr: dict = {v: [] for v in verts}
-        for _, (u, v) in bnd:
-            nbr[u].append(v)
-            nbr[v].append(u)
-        start = min(verts)
-        loop = [start, min(nbr[start])]
-        while len(loop) < len(verts):
-            prev, cur = loop[-2], loop[-1]
-            nxt = [w for w in nbr[cur] if w != prev]
-            loop.append(nxt[0])
-        return tuple(loop)
+            return loop
+        # Each (d-2)-face of the boundary lies in exactly two boundary cells
+        # (a closed pseudo-cycle) and the cycle is connected.  No proper
+        # subset of it is then closed: a face joining the subset to the rest
+        # lies in only one of the subset's cells.
+        if not is_closed(self, bnd) or len(face_components(self, bnd)) != 1:
+            raise InputError("%r: boundary is not a closed cycle of "
+                             "%d-cells" % (cid, d - 1))
+        return None
 
     def _check_well_attachment(self):
         """Any two same-dimension cells intersect in a connected vertex set."""
@@ -412,6 +361,106 @@ class DiscreteSpace:
         return self._caches[key].get(cid, [])
 
 
+# -- incidence -------------------------------------------------------------
+
+
+def face_counts(space: DiscreteSpace, cells) -> dict:
+    """How many of ``cells`` hold each face of their boundaries."""
+    count: dict = {}
+    for cid in cells:
+        for f in space.cells[cid].boundary:
+            count[f] = count.get(f, 0) + 1
+    return count
+
+
+def is_closed(space: DiscreteSpace, cells) -> bool:
+    """True iff the collection ``cells`` is non-empty and every face of its
+    cells lies in exactly two of them: a closed pseudo-manifold."""
+    return bool(cells) and all(n == 2 for n in
+                               face_counts(space, cells).values())
+
+
+def face_components(space: DiscreteSpace, cells,
+                    blocked=frozenset()) -> list:
+    """The components of the collection ``cells`` under adjacency through
+    shared boundary faces, never through a face in ``blocked``.
+
+    Each component is a sorted list, and components come in the order of
+    their smallest cell.  The shared faces of 1-cells are vertices.
+    """
+    by_face: dict = {}
+    for c in cells:
+        for f in space.cells[c].boundary:
+            if f not in blocked:
+                by_face.setdefault(f, []).append(c)
+    comps = []
+    seen: set = set()
+    for c in sorted(cells):
+        if c in seen:
+            continue
+        seen.add(c)
+        comp = [c]
+        for cur in comp:
+            for f in space.cells[cur].boundary:
+                for n in by_face.get(f, ()):
+                    if n not in seen:
+                        seen.add(n)
+                        comp.append(n)
+        comps.append(sorted(comp))
+    return comps
+
+
+def closure(space: DiscreteSpace, cells, dim: int | None = None) -> frozenset:
+    """``cells`` with every cell of their iterated boundaries; only the
+    ``dim``-cells among them when ``dim`` is given."""
+    out = set(cells)
+    stack = list(out)
+    while stack:
+        for b in space.cells[stack.pop()].boundary:
+            if b not in out:
+                out.add(b)
+                stack.append(b)
+    if dim is not None:
+        return frozenset(c for c in out if c[0] == dim)
+    return frozenset(out)
+
+
+def walk(edges, start: int | None = None) -> tuple | None:
+    """The vertex sequence of an edge set that is one simple path or
+    cycle; None for an empty, branched or split edge set.
+
+    A path runs from ``start`` when it is given (None when ``start`` is
+    not one of its ends), otherwise from its smaller end, and has one
+    vertex more than edges.  A cycle runs from its smallest vertex toward
+    the smaller neighbour and has as many vertices as edges; its closing
+    edge joins the last vertex to the first.
+    """
+    nbrs: dict = {}
+    for u, v in edges:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    ends = sorted(v for v, ns in nbrs.items() if len(ns) == 1)
+    if not nbrs or any(len(ns) > 2 for ns in nbrs.values()):
+        return None
+    if ends:
+        start = ends[0] if start is None else start
+        if start not in ends:
+            return None
+        order = [start, nbrs[start][0]]
+    else:
+        start = min(nbrs)
+        order = [start, min(nbrs[start])]
+    while len(order) < len(nbrs):
+        prev, ns = order[-2], nbrs[order[-1]]
+        if len(ns) == 1:
+            break
+        nxt = ns[1] if ns[0] == prev else ns[0]
+        if nxt == start:
+            break
+        order.append(nxt)
+    return tuple(order) if len(order) == len(nbrs) else None
+
+
 # -- operations ------------------------------------------------------------
 
 
@@ -448,19 +497,8 @@ def star(space: DiscreteSpace, xs) -> Subcomplex:
         raise InputError("star of an empty vertex set")
     for v in xs:
         space.require_vertex(v)
-    picked: set = set()
-    stack = []
-    for v in sorted(xs):
-        for cid in space.cells_containing(v):
-            if cid not in picked:
-                picked.add(cid)
-                stack.append(cid)
-    while stack:
-        cid = stack.pop()
-        for b in space.cells[cid].boundary:
-            if b not in picked:
-                picked.add(b)
-                stack.append(b)
+    picked = closure(space, (cid for v in sorted(xs)
+                             for cid in space.cells_containing(v)))
     by_dim: dict = {}
     for cid in sorted(picked):
         by_dim.setdefault(cid[0], []).append(cid)
@@ -478,47 +516,15 @@ def link(space: DiscreteSpace, xs) -> Subcomplex:
     return Subcomplex({d: tuple(cs) for d, cs in by_dim.items()})
 
 
-def _edge_components(edges) -> list:
-    """Connected components of an edge set, as lists of vertices."""
-    adj: dict = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    comps = []
-    seen: set = set()
-    for v in sorted(adj):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(sorted(comp))
-    return comps
-
-
 def edge_set_shape(edges) -> str:
     """Classify an edge set: 'path', 'cycle', 'empty', or 'other'."""
     edges = set(edges)
     if not edges:
         return "empty"
-    deg: dict = {}
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    comps = _edge_components(edges)
-    if len(comps) != 1:
+    order = walk(edges)
+    if order is None:
         return "other"
-    if all(d == 2 for d in deg.values()):
-        return "cycle" if len(edges) == len(deg) else "other"
-    ends = [v for v, d in deg.items() if d == 1]
-    if len(ends) == 2 and all(d <= 2 for d in deg.values()):
-        return "path"
-    return "other"
+    return "cycle" if len(order) == len(edges) else "path"
 
 
 def check_regular(space: DiscreteSpace, k: int | None = None) -> CheckReport:
@@ -538,33 +544,18 @@ def check_regular(space: DiscreteSpace, k: int | None = None) -> CheckReport:
         return report
 
     top = space.cells_of_dim(k)
-    # clause 2 first: face incidence counts feed clause 1's adjacency.
-    by_face: dict = {}
-    for cid in top:
-        for b in space.cells[cid].boundary:
-            by_face.setdefault(b, []).append(cid)
+    counts = face_counts(space, top)
     for f in space.cells_of_dim(k - 1):
-        n = len(by_face.get(f, ()))
+        n = counts.get(f, 0)
         if n not in (1, 2):
             report.add("clause 2: %d-cell %r lies in %d %d-cells"
                        % (k - 1, f, n, k))
 
     if top:
-        adj: dict = {c: set() for c in top}
-        for f, cs in by_face.items():
-            for a, b in itertools.combinations(cs, 2):
-                adj[a].add(b)
-                adj[b].add(a)
-        seen = {top[0]}
-        stack = [top[0]]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != len(top):
+        reached = len(face_components(space, top)[0])
+        if reached != len(top):
             report.add("clause 1: %d-cells are not (k-1)-connected "
-                       "(%d of %d reachable)" % (k, len(seen), len(top)))
+                       "(%d of %d reachable)" % (k, reached, len(top)))
     else:
         report.add("clause 1: the space has no %d-cells" % k)
 
@@ -585,24 +576,7 @@ def check_regular(space: DiscreteSpace, k: int | None = None) -> CheckReport:
                 report.add("clause 4: link of vertex %d has no %d-cells"
                            % (v, k - 1))
             continue
-        ladj: dict = {c: set() for c in cells}
-        lby_face: dict = {}
-        for c in cells:
-            faces = space.cells[c].boundary if k - 1 >= 1 else ()
-            for f in faces:
-                lby_face.setdefault(f, []).append(c)
-        for f, cs in lby_face.items():
-            for a, b in itertools.combinations(cs, 2):
-                ladj[a].add(b)
-                ladj[b].add(a)
-        seen = {cells[0]}
-        stack = [cells[0]]
-        while stack:
-            for nxt in ladj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != len(cells):
+        if len(face_components(space, cells)) != 1:
             report.add("clause 4: link of vertex %d is disconnected" % v)
     return report
 
@@ -613,11 +587,8 @@ def is_closed_manifold(space: DiscreteSpace) -> bool:
     if not reg:
         raise PreconditionError("space is not a regular manifold: %s"
                                 % "; ".join(reg.problems))
-    k = space.top_dim
-    for f in space.cells_of_dim(k - 1):
-        if len([c for c in space.cofaces(f)]) != 2:
-            return False
-    return True
+    # clause 2 leaves every face in one or two top cells
+    return is_closed(space, space.cells_of_dim(space.top_dim))
 
 
 def is_discrete_curve(space: DiscreteSpace, chain: CellChain) -> bool:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import CellChain, CheckReport, DiscreteSpace, edge_key
+from .complexes import (CellChain, CheckReport, DiscreteSpace, edge_key,
+                        face_counts, walk)
 from .errors import InputError, PreconditionError
 
 MOVE_GRADUAL = "gradual"
@@ -46,16 +47,10 @@ def xor_sum(space: DiscreteSpace, a: CellChain, b: CellChain) -> CellChain:
         raise InputError("xor_sum needs chains of one dimension")
     sa, sb = set(a.cells), set(b.cells)
     cells = tuple(sorted(sa.symmetric_difference(sb)))
-    closed = _is_even_chain(space, a.dim, cells)
+    # a GF(2) cycle: every face count is even, not necessarily two
+    closed = bool(cells) and all(n % 2 == 0 for n in
+                                 face_counts(space, cells).values())
     return CellChain(a.dim, cells, ordered=False, closed=closed)
-
-
-def _is_even_chain(space: DiscreteSpace, dim: int, cells) -> bool:
-    count: dict = {}
-    for cid in cells:
-        for f in space.cells[cid].boundary:
-            count[f] = count.get(f, 0) + 1
-    return bool(cells) and all(n % 2 == 0 for n in count.values())
 
 
 def _require_curve(chain: CellChain):
@@ -154,53 +149,14 @@ def edges_to_curve(space: DiscreteSpace, edges, like: CellChain | None = None):
     simple path or cycle.  ``like`` fixes the endpoints an open result
     must keep and the preferred start vertex."""
     edges = set(edges)
-    if not edges:
+    start = like.verts[0] if like is not None and not like.closed else None
+    verts = walk(edges, start)
+    if verts is None:
         return None
-    deg: dict = {}
-    adj: dict = {}
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    ends = sorted(v for v, d in deg.items() if d == 1)
-    if any(d > 2 for d in deg.values()):
+    closed = len(verts) == len(edges)
+    if start is not None and not closed and verts[-1] != like.verts[-1]:
         return None
-    if ends:
-        if len(ends) != 2:
-            return None
-        closed = False
-        if like is not None and not like.closed:
-            want = {like.verts[0], like.verts[-1]}
-            if set(ends) != want:
-                return None
-            start = like.verts[0]
-        else:
-            start = ends[0]
-        walk = [start]
-    else:
-        closed = True
-        start = min(deg)
-        walk = [start]
-    while True:
-        cur = walk[-1]
-        options = [w for w in sorted(adj[cur])
-                   if len(walk) < 2 or w != walk[-2]]
-        if closed and len(walk) >= 2:
-            options = [w for w in options if w != start] or options
-        if not options:
-            break
-        nxt = options[0]
-        if closed and nxt == start:
-            break
-        if nxt in walk:
-            return None
-        walk.append(nxt)
-        if len(walk) > len(deg):
-            return None
-    if len(walk) != len(deg):
-        return None
-    return CellChain.path(space, walk, closed=closed)
+    return CellChain.path(space, verts, closed=closed)
 
 
 def cell_boundary_chain(space: DiscreteSpace, cell) -> CellChain:
@@ -217,20 +173,9 @@ def intersection_is_attaching_arc(space: DiscreteSpace, chain: CellChain,
     shared_edges = faces & set(_all_edges(chain))
     if not shared_edges or len(shared_edges) == len(faces):
         return False
-    shared_verts = set(cell[1]) & chain.vertex_set()
-    deg: dict = {}
-    for u, v in shared_edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    if any(d > 2 for d in deg.values()):
-        return False
-    if sum(1 for d in deg.values() if d == 1) != 2:
-        return False
-    if shared_verts != set(deg):
-        return False
-    if len(shared_edges) != len(deg) - 1:
-        return False
-    return True
+    arc = walk(shared_edges)
+    return arc is not None and len(arc) == len(shared_edges) + 1 and \
+        set(arc) == set(cell[1]) & chain.vertex_set()
 
 
 def single_cell_move(space: DiscreteSpace, chain: CellChain, cell):
@@ -243,6 +188,43 @@ def single_cell_move(space: DiscreteSpace, chain: CellChain, cell):
     if not new_edges:
         return None
     return edges_to_curve(space, new_edges, like=chain)
+
+
+def bfs_moves(space: DiscreteSpace, start: CellChain, pool, accept,
+              max_depth: int | None = None):
+    """Breadth-first search over single-cell moves from ``start``.
+
+    Each level moves every curve of the level before by each cell of
+    ``pool`` in order, and drops the curves whose edge set was met
+    before.  ``accept(steps, moves)`` judges each new curve, the last of
+    ``steps`` (which begin with ``start``; ``moves`` holds the one-cell
+    sets): False drops it, None keeps it for the next level, and any
+    other value ends the search as its result.  Returns None once
+    ``max_depth`` levels are done or a level comes out empty.
+    """
+    seen = {frozenset(_all_edges(start))}
+    frontier = [((start,), ())]
+    depth = 0
+    while frontier and (max_depth is None or depth < max_depth):
+        depth += 1
+        level = []
+        for steps, moves in frontier:
+            for cell in pool:
+                nxt = single_cell_move(space, steps[-1], cell)
+                if nxt is None:
+                    continue
+                key = frozenset(_all_edges(nxt))
+                if key in seen:
+                    continue
+                seen.add(key)
+                ns, nm = steps + (nxt,), moves + (frozenset((cell,)),)
+                verdict = accept(ns, nm)
+                if verdict is None:
+                    level.append((ns, nm))
+                elif verdict is not False:
+                    return verdict
+        frontier = level
+    return None
 
 
 def decompose_minimal_moves(space: DiscreteSpace, c: CellChain,
@@ -285,38 +267,24 @@ def decompose_minimal_moves(space: DiscreteSpace, c: CellChain,
                 best = (cell, nxt)
                 break
         if best is None:
-            return _decompose_bfs(space, c, cp, pool)
+            trace = bfs_moves(space, c, pool, _reaching(target),
+                              len(pool) + 2)
+            if trace is None:
+                raise PreconditionError("no single-cell decomposition found")
+            return trace
         steps.append(best[1])
         moves.append(frozenset((best[0],)))
     return DeformationTrace(tuple(steps), tuple(moves), MOVE_MINIMAL)
 
 
-def _decompose_bfs(space: DiscreteSpace, c: CellChain, cp: CellChain,
-                   pool) -> DeformationTrace:
-    target = set(_all_edges(cp))
-    start_key = _all_edges(c)
-    frontier = [(c, (), ())]
-    seen = {frozenset(start_key)}
-    for _ in range(len(pool) + 2):
-        nxt_frontier = []
-        for cur, steps, moves in frontier:
-            for cell in pool:
-                nxt = single_cell_move(space, cur, cell)
-                if nxt is None:
-                    continue
-                key = frozenset(_all_edges(nxt))
-                if key in seen:
-                    continue
-                seen.add(key)
-                ns = steps + (nxt,)
-                nm = moves + (frozenset((cell,)),)
-                if set(_all_edges(nxt)) == target:
-                    return DeformationTrace((c,) + ns, nm, MOVE_MINIMAL)
-                nxt_frontier.append((nxt, ns, nm))
-        frontier = nxt_frontier
-        if not frontier:
-            break
-    raise PreconditionError("no single-cell decomposition found")
+def _reaching(target: set):
+    """The ``bfs_moves`` test that ends on the first curve with the edge
+    set ``target``, as a minimal trace."""
+    def accept(steps, moves):
+        if set(_all_edges(steps[-1])) == target:
+            return DeformationTrace(steps, moves, MOVE_MINIMAL)
+        return None
+    return accept
 
 
 def realizing_cells(space: DiscreteSpace, c1: CellChain, c2: CellChain):
@@ -546,31 +514,12 @@ def detour_sequence(space: DiscreteSpace, c0: CellChain, c1: CellChain,
         raise PreconditionError("no enclosing cell provides a boundary "
                                 "sphere to route over")
 
-    start_key = frozenset(_all_edges(c0))
-    target = set(_all_edges(c1))
-    frontier = [(c0, (), ())]
-    seen = {start_key}
-    for _ in range(len(pool) + 1):
-        nxt_frontier = []
-        for cur, steps, moves in frontier:
-            for cell in pool:
-                nxt = single_cell_move(space, cur, cell)
-                if nxt is None:
-                    continue
-                key = frozenset(_all_edges(nxt))
-                if key in seen:
-                    continue
-                seen.add(key)
-                ns, nm = steps + (nxt,), moves + (frozenset((cell,)),)
-                if set(_all_edges(nxt)) == target:
-                    trace = DeformationTrace((c0,) + ns, nm, MOVE_MINIMAL)
-                    assert all(forbidden not in m for m in trace.moves)
-                    return trace
-                nxt_frontier.append((nxt, ns, nm))
-        frontier = nxt_frontier
-        if not frontier:
-            break
-    raise PreconditionError("no detour found over the enclosing boundary")
+    trace = bfs_moves(space, c0, pool, _reaching(set(_all_edges(c1))),
+                      len(pool) + 1)
+    if trace is None:
+        raise PreconditionError("no detour found over the enclosing boundary")
+    assert all(forbidden not in m for m in trace.moves)
+    return trace
 
 
 # -- contraction ------------------------------------------------------------

@@ -14,46 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import (CellChain, CheckReport, DiscreteSpace, edge_key,
-                        link)
+from .complexes import (CellChain, CheckReport, DiscreteSpace, closure,
+                        edge_key, face_components, face_counts, link, walk)
 from .errors import InputError, PreconditionError
 from .metrics import k_cell_distance
-
-
-def _chain_edges(space: DiscreteSpace, chain: CellChain) -> frozenset:
-    """The 1-cells belonging to the chain (for dim >= 2, its edge closure)."""
-    if chain.dim == 1:
-        return chain.edge_set()
-    edges = set()
-    stack = list(chain.cells)
-    seen = set(stack)
-    while stack:
-        cid = stack.pop()
-        if cid[0] == 1:
-            edges.add(cid[1])
-            continue
-        for b in space.cells[cid].boundary:
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return frozenset(edges)
-
-
-def _chain_cell_closure(space: DiscreteSpace, chain: CellChain) -> frozenset:
-    """All cells of the chain together with their iterated boundaries."""
-    out = set()
-    if chain.dim == 1 and chain.verts is not None:
-        out.update((1, e) for e in chain.edge_set())
-        out.update((0, (v,)) for v in chain.verts)
-        return frozenset(out)
-    stack = list(chain.cells)
-    while stack:
-        cid = stack.pop()
-        if cid in out:
-            continue
-        out.add(cid)
-        stack.extend(space.cells[cid].boundary)
-    return frozenset(out)
 
 
 def _intersection_is_arc(space: DiscreteSpace, mediator: int,
@@ -70,15 +34,9 @@ def _intersection_is_arc(space: DiscreteSpace, mediator: int,
     ies = sorted(e for e in lk.edges() if e in chain_edges)
     if not ies or p not in ivs or q not in ivs:
         return False
-    comp = {ies[0][0]}
-    grew = True
-    while grew:
-        grew = False
-        for u, v in ies:
-            if (u in comp) != (v in comp):
-                comp.update((u, v))
-                grew = True
-    return all(v in comp for v in ivs)
+    first = face_components(space, [(1, e) for e in ies])[0]
+    reached = {v for _, e in first for v in e}
+    return all(v in reached for v in ivs)
 
 
 def _level2_mediators(space: DiscreteSpace, p: int, q: int, i: int):
@@ -148,8 +106,8 @@ def subset_flatness(space: DiscreteSpace, verts, edges,
 
 def _flatness_report(space: DiscreteSpace, chain: CellChain,
                      levels) -> CheckReport:
-    return subset_flatness(space, chain.vertex_set(),
-                           _chain_edges(space, chain), levels)
+    edges = frozenset(e for _, e in closure(space, chain.cells, 1))
+    return subset_flatness(space, chain.vertex_set(), edges, levels)
 
 
 def is_locally_flat_triangulated(space: DiscreteSpace,
@@ -179,11 +137,8 @@ def _require_simple(space: DiscreteSpace, chain: CellChain):
         return
     # Submanifold chains must be closed pseudo-manifolds: every (dim-1)-face
     # in exactly two chain cells.
-    count: dict = {}
-    for cid in chain.cells:
-        for f in space.cells[cid].boundary:
-            count[f] = count.get(f, 0) + 1
-    if chain.closed and any(n != 2 for n in count.values()):
+    if chain.closed and any(n != 2 for n in
+                            face_counts(space, chain.cells).values()):
         raise InputError("chain is not a closed pseudo-manifold")
 
 
@@ -192,7 +147,7 @@ def find_focal_points(space: DiscreteSpace, chain: CellChain) -> list:
     or more edges, each paired with that arc as an ordered vertex tuple."""
     _require_simple(space, chain)
     verts = chain.vertex_set()
-    edges = _chain_edges(space, chain)
+    edges = frozenset(e for _, e in closure(space, chain.cells, 1))
     out = []
     for a in range(space.n_vertices):
         if a in verts:
@@ -202,43 +157,11 @@ def find_focal_points(space: DiscreteSpace, chain: CellChain) -> list:
         ivs = sorted(v for v in lk.vertices() if v in verts)
         if len(ies) < 2:
             continue
-        arc = _order_arc(ies)
+        arc = walk(ies)
         if arc is None or set(ivs) != set(arc):
             continue
         out.append((a, arc))
     return out
-
-
-def _order_arc(edges) -> tuple | None:
-    """Order an edge set into a vertex walk if it is a simple path or cycle."""
-    adj: dict = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if any(len(ns) > 2 for ns in adj.values()):
-        return None
-    ends = sorted(v for v, ns in adj.items() if len(ns) == 1)
-    if len(ends) == 2:
-        walk = [ends[0]]
-    elif not ends:
-        start = min(adj)
-        walk = [start, min(adj[start])]
-    else:
-        return None
-    while True:
-        cur = walk[-1]
-        nxt = [w for w in adj[cur]
-               if len(walk) < 2 or w != walk[-2]]
-        if not nxt:
-            break
-        if nxt[0] == walk[0]:
-            break
-        walk.append(nxt[0])
-        if len(walk) > len(adj):
-            return None
-    if len(walk) != len(adj):
-        return None
-    return tuple(walk)
 
 
 @dataclass(frozen=True)
@@ -271,7 +194,7 @@ def _side_cells(space: DiscreteSpace, chain: CellChain) -> list:
         for cid in space.cells_of_dim(k):
             cverts = set(cid[1])
             has_edge = any(set(e) <= cverts and
-                           (1, e) in _faces_of(space, cid, 1)
+                           (1, e) in closure(space, (cid,), 1)
                            for e in edges)
             if has_edge or interior & cverts:
                 picked.append(cid)
@@ -283,52 +206,6 @@ def _side_cells(space: DiscreteSpace, chain: CellChain) -> list:
         if faces & chain_cells or verts & set(cid[1]):
             picked.append(cid)
     return picked
-
-
-def _faces_of(space: DiscreteSpace, cid, dim: int) -> set:
-    out = set()
-    stack = [cid]
-    while stack:
-        c = stack.pop()
-        if c[0] == dim:
-            out.add(c)
-            continue
-        stack.extend(space.cells[c].boundary)
-    return out
-
-
-def _split_sides(space: DiscreteSpace, chain: CellChain, cells: list) -> list:
-    """Group the side cells into components; crossing the chain is not
-    allowed, so adjacency uses only shared faces that do not lie on it."""
-    closure = _chain_cell_closure(space, chain)
-    adj = {c: set() for c in cells}
-    by_face: dict = {}
-    for c in cells:
-        for f in space.cells[c].boundary:
-            by_face.setdefault(f, []).append(c)
-    for f, cs in by_face.items():
-        if f in closure:
-            continue
-        if chain.dim == 1 and set(f[1]) <= chain.vertex_set():
-            continue
-        for a, b in itertools.combinations(cs, 2):
-            adj[a].add(b)
-            adj[b].add(a)
-    comps = []
-    seen = set()
-    for c in sorted(cells):
-        if c in seen:
-            continue
-        comp = {c}
-        stack = [c]
-        while stack:
-            for n in adj[stack.pop()]:
-                if n not in comp:
-                    comp.add(n)
-                    stack.append(n)
-        seen |= comp
-        comps.append(sorted(comp))
-    return comps
 
 
 def build_collar(space: DiscreteSpace, chain: CellChain) -> CollarCertificate:
@@ -344,7 +221,14 @@ def build_collar(space: DiscreteSpace, chain: CellChain) -> CollarCertificate:
                                 % "; ".join(flat.problems[:3]))
     verts = chain.vertex_set()
     cells = _side_cells(space, chain)
-    comps = _split_sides(space, chain, cells)
+    # sides never join across the chain: for a curve, not across any face
+    # with all its vertices on it either
+    if chain.dim == 1:
+        blocked = {f for cid in cells for f in space.cells[cid].boundary
+                   if set(f[1]) <= verts}
+    else:
+        blocked = closure(space, chain.cells)
+    comps = face_components(space, cells, blocked)
     sheets = []
     for comp in comps:
         sheet = sorted({v for cid in comp for v in cid[1]} - verts)
@@ -393,11 +277,13 @@ def verify_collar(space: DiscreteSpace, chain: CellChain,
         induced = [e for e in space.edges
                    if e[0] in sheet and e[1] in sheet]
         if len(sheet) > 1:
-            shape = _sheet_shape(sheet, induced)
-            if chain.dim == 1 and shape not in ("path", "cycle"):
+            comps = face_components(space, [(1, e) for e in induced])
+            split = len(comps) != 1 or \
+                {v for e in induced for v in e} != sheet
+            if chain.dim == 1 and (split or walk(induced) is None):
                 report.add("sheet %d self-intersects (induced shape: %s)"
-                           % (i, shape))
-            elif chain.dim >= 2 and shape == "disconnected":
+                           % (i, "disconnected" if split else "branched"))
+            elif chain.dim >= 2 and split:
                 report.add("sheet %d is disconnected" % i)
         for v in sorted(sheet):
             w = cert.witness.get(v)
@@ -410,28 +296,3 @@ def verify_collar(space: DiscreteSpace, chain: CellChain,
         if cert.sheets[a] & cert.sheets[b]:
             report.add("sheets %d and %d intersect" % (a, b))
     return report
-
-
-def _sheet_shape(sheet, induced_edges) -> str:
-    deg = {v: 0 for v in sheet}
-    for u, v in induced_edges:
-        deg[u] += 1
-        deg[v] += 1
-    # connectivity over induced edges
-    start = min(sheet)
-    comp = {start}
-    grew = True
-    while grew:
-        grew = False
-        for u, v in induced_edges:
-            if (u in comp) != (v in comp):
-                comp.update((u, v))
-                grew = True
-    if comp != set(sheet):
-        return "disconnected"
-    if all(d == 2 for d in deg.values()) and len(induced_edges) == len(sheet):
-        return "cycle"
-    ends = [v for v, d in deg.items() if d <= 1]
-    if all(d <= 2 for d in deg.values()) and len(ends) == 2:
-        return "path"
-    return "branched"

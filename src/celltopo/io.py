@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import CellChain, DiscreteSpace, edge_key
-from .errors import InputError
-from .separation import ContractionTrace, Removal, replay
+from .complexes import CellChain, DiscreteSpace, edge_key, is_closed
+from .errors import InputError, TopologyError
+from .separation import ContractionTrace, Removal, _submanifold_cells, replay
 
 FORMAT_VERSION = 1
 
 
-class ParseError(Exception):
+class ParseError(TopologyError):
     """Malformed file; carries the 1-based line number."""
 
     def __init__(self, message, line):
@@ -117,14 +117,16 @@ def load_deformation(text: str):
         raise ParseError("unsupported paths version %r" % (head,),
                          reader.line_no)
     space, chains = _load_complex_body(reader)
-    kind, count = _expect(reader, "paths")
-    count = int(count)
+    parts = _expect(reader, "paths", 2)
+    kind = parts[0]
+    count = _int(parts[1], reader, "path count")
     two_cells = space.cells_of_dim(2)
     steps = []
     for _ in range(count):
-        parts = _expect(reader, "step")
-        closed = bool(int(parts[0]))
-        verts = [int(v) for v in parts[1:]]
+        parts = _expect(reader, "step", 1)
+        closed = bool(_int(parts[0], reader, "closed flag", 2))
+        verts = [_int(v, reader, "vertex", space.n_vertices)
+                 for v in parts[1:]]
         if len(verts) == 1:
             steps.append(CellChain(1, (), ordered=True, closed=False,
                                    verts=(verts[0],)))
@@ -133,7 +135,9 @@ def load_deformation(text: str):
     moves = []
     for _ in range(max(count - 1, 0)):
         parts = _expect(reader, "move")
-        moves.append(frozenset(two_cells[int(i)] for i in parts))
+        moves.append(frozenset(
+            two_cells[_int(i, reader, "2-cell index", len(two_cells))]
+            for i in parts))
     return space, chains, DeformationTrace(tuple(steps), tuple(moves), kind)
 
 
@@ -172,18 +176,36 @@ def _ints(text: str, reader: _Reader) -> list:
         raise ParseError("expected integers, got %r" % text, reader.line_no)
 
 
+def _int(token: str, reader: _Reader, what: str,
+         bound: int | None = None) -> int:
+    """The checked reader of every header integer and every index: a
+    non-negative integer, below ``bound`` when one is given."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise ParseError("%s: expected an integer, got %r" % (what, token),
+                         reader.line_no) from None
+    if value < 0 or (bound is not None and value >= bound):
+        raise ParseError("%s %d out of range" % (what, value), reader.line_no)
+    return value
+
+
 def load_complex(text: str):
     """Parse a DSC document into a space plus its named chains."""
     reader = _Reader(text)
     return _load_complex_body(reader)
 
 
-def _expect(reader: _Reader, keyword: str) -> list:
+def _expect(reader: _Reader, keyword: str, fields: int = 0) -> list:
+    """The fields after ``keyword`` on the next line; at least ``fields``."""
     line = reader.next(keyword)
     parts = line.split()
     if not parts or parts[0] != keyword:
         raise ParseError("expected %r, got %r" % (keyword, line),
                          reader.line_no)
+    if len(parts) <= fields:
+        raise ParseError("%r needs %d field(s), got %r"
+                         % (keyword, fields, line), reader.line_no)
     return parts[1:]
 
 
@@ -192,10 +214,11 @@ def _load_complex_body(reader: _Reader):
     if head != [str(FORMAT_VERSION)]:
         raise ParseError("unsupported format version %r" % (head,),
                          reader.line_no)
-    dim = int(_expect(reader, "dim")[0])
-    oriented = bool(int(_expect(reader, "oriented")[0]))
-    n = int(_expect(reader, "vertices")[0])
-    m = int(_expect(reader, "edges")[0])
+    dim = _int(_expect(reader, "dim", 1)[0], reader, "dim")
+    oriented = bool(_int(_expect(reader, "oriented", 1)[0], reader,
+                         "oriented", 2))
+    n = _int(_expect(reader, "vertices", 1)[0], reader, "vertices")
+    m = _int(_expect(reader, "edges", 1)[0], reader, "edges")
     edges = []
     for _ in range(m):
         vals = _ints(reader.next("an edge"), reader)
@@ -207,11 +230,11 @@ def _load_complex_body(reader: _Reader):
     boundaries: dict = {}
     prev_ids = [(1, edge_key(*e)) for e in edges]
     for d in range(2, dim + 1):
-        parts = _expect(reader, "cells")
-        if int(parts[0]) != d:
+        parts = _expect(reader, "cells", 2)
+        if _int(parts[0], reader, "cell dimension") != d:
             raise ParseError("expected cells of dimension %d" % d,
                              reader.line_no)
-        count = int(parts[1])
+        count = _int(parts[1], reader, "cell count")
         ids = []
         rows = []
         for _ in range(count):
@@ -221,11 +244,8 @@ def _load_complex_body(reader: _Reader):
                                  reader.line_no)
             left, right = line.split("|", 1)
             verts = tuple(sorted(_ints(left, reader)))
-            bidx = _ints(right, reader)
-            for i in bidx:
-                if not (0 <= i < len(prev_ids)):
-                    raise ParseError("boundary index %d out of range" % i,
-                                     reader.line_no)
+            bidx = [_int(i, reader, "boundary index", len(prev_ids))
+                    for i in right.split()]
             rows.append((verts, tuple(prev_ids[i] for i in bidx)))
             ids.append((d, verts))
         cells_by_dim[d] = [verts for verts, _ in rows]
@@ -242,15 +262,16 @@ def _load_complex_body(reader: _Reader):
         if len(parts) != 2:
             raise ParseError("chain header is 'chain <name> <dim>'",
                              reader.line_no)
-        name, cdim = parts[0], int(parts[1])
-        idx = _ints(reader.next("chain indices"), reader)
+        name = parts[0]
+        cdim = _int(parts[1], reader, "chain dimension", dim + 1)
+        bound = n if cdim == 0 else m if cdim == 1 else \
+            len(cells_by_dim[cdim])
+        idx = [_int(i, reader, "chain index", bound)
+               for i in reader.next("chain indices").split()]
         raw_chains.append((name, cdim, idx))
 
-    try:
-        space = DiscreteSpace(n, edges, cells_by_dim, boundaries,
-                              oriented=oriented)
-    except InputError:
-        raise
+    space = DiscreteSpace(n, edges, cells_by_dim, boundaries,
+                          oriented=oriented)
 
     chains = {}
     by_dim = {d: space.cells_of_dim(d) for d in range(2, dim + 1)}
@@ -266,18 +287,10 @@ def _load_complex_body(reader: _Reader):
             chains[name] = _edges_to_chain(space, es, name)
         else:
             cells = [by_dim[cdim][i] for i in idx]
-            closed = _faces_even(space, cells)
+            closed = not cells or is_closed(space, cells)
             chains[name] = CellChain.of_cells(space, cdim, cells,
                                               closed=closed)
     return space, chains
-
-
-def _faces_even(space: DiscreteSpace, cells) -> bool:
-    count: dict = {}
-    for cid in cells:
-        for f in space.cells[cid].boundary:
-            count[f] = count.get(f, 0) + 1
-    return all(v == 2 for v in count.values())
 
 
 def _edges_to_chain(space: DiscreteSpace, edges, name: str) -> CellChain:
@@ -299,15 +312,15 @@ def load_trace(text: str):
     if "surface" not in chains:
         raise ParseError("trace file lacks the 'surface' chain",
                          reader.line_no)
-    parts = _expect(reader, "trace")
-    direction, count = parts[0], int(parts[1])
+    parts = _expect(reader, "trace", 2)
+    direction = parts[0]
+    count = _int(parts[1], reader, "removal count")
     k = space.top_dim
     top = space.cells_of_dim(k)
     faces = space.cells_of_dim(k - 1)
-    seed = top[int(_expect(reader, "seed")[0])]
+    seed = top[_int(_expect(reader, "seed", 1)[0], reader, "seed", len(top))]
     removals = []
-    surface = frozenset((1, e) for e in chains["surface"].edge_set()) \
-        if chains["surface"].dim == 1 else frozenset(chains["surface"].cells)
+    surface = _submanifold_cells(space, chains["surface"])
     surfaces = [surface]
     for _ in range(count):
         parts = _expect(reader, "step")
@@ -316,9 +329,12 @@ def load_trace(text: str):
         if len(bits) != 3:
             raise ParseError("step rows are 'step i | replaced | "
                              "replacement'", reader.line_no)
-        cell = top[int(bits[0])]
-        replaced = frozenset(faces[int(i)] for i in bits[1].split())
-        replacement = frozenset(faces[int(i)] for i in bits[2].split())
+        cell = top[_int(bits[0], reader, "step cell", len(top))]
+        replaced = frozenset(faces[_int(i, reader, "face index", len(faces))]
+                             for i in bits[1].split())
+        replacement = frozenset(
+            faces[_int(i, reader, "face index", len(faces))]
+            for i in bits[2].split())
         removals.append(Removal(cell, replaced, replacement))
         surface = (surface - replaced) | replacement
         surfaces.append(surface)

@@ -15,9 +15,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .complexes import (CellChain, CheckReport, DiscreteSpace, check_regular,
-                        edge_key, is_closed_manifold)
+                        closure, edge_key, face_components, is_closed)
 from .deformation import (MOVE_SIDE_GRADUAL, DeformationTrace, _all_edges,
-                          are_side_gradually_varied, single_cell_move)
+                          are_side_gradually_varied, bfs_moves,
+                          realizing_cells, single_cell_move)
 from .errors import (BudgetExhausted, InputError, PreconditionError,
                      UnsupportedConfiguration)
 from .flatness import is_locally_flat, subset_flatness
@@ -43,22 +44,14 @@ class SeparationReport:
 
 
 def _submanifold_cells(space: DiscreteSpace, s: CellChain) -> frozenset:
+    """The cells of a (k-1)-chain as a barrier: a curve's edge cells, or
+    the chain's own cells."""
     if s.dim != space.top_dim - 1:
         raise InputError("separating chain must have dimension %d"
                          % (space.top_dim - 1))
     if s.dim == 1 and s.verts is not None:
         return frozenset((1, e) for e in s.edge_set())
     return frozenset(s.cells)
-
-
-def _require_closed_chain(space: DiscreteSpace, cells: frozenset):
-    count: dict = {}
-    for cid in cells:
-        for f in space.cells[cid].boundary:
-            count[f] = count.get(f, 0) + 1
-    if not cells or any(n != 2 for n in count.values()):
-        raise InputError("separating chain is not closed: some face does "
-                         "not lie in exactly two of its cells")
 
 
 def components_of_complement(space: DiscreteSpace,
@@ -68,12 +61,17 @@ def components_of_complement(space: DiscreteSpace,
     if not reg:
         raise PreconditionError("space is not a regular manifold: %s"
                                 % "; ".join(reg.problems[:3]))
-    if not is_closed_manifold(space):
+    k = space.top_dim
+    top = space.cells_of_dim(k)
+    # clause 2 leaves every face in one or two top cells
+    if not is_closed(space, top):
         raise PreconditionError("space is not closed")
     if not space.oriented:
         raise PreconditionError("separation requires an oriented space")
     barrier = _submanifold_cells(space, s)
-    _require_closed_chain(space, barrier)
+    if not is_closed(space, barrier):
+        raise InputError("separating chain is not closed: some face does "
+                         "not lie in exactly two of its cells")
 
     warnings = []
     flat = is_locally_flat(space, s)
@@ -81,28 +79,8 @@ def components_of_complement(space: DiscreteSpace,
         warnings.append("separating chain is not locally flat; component "
                         "count is not guaranteed")
 
-    k = space.top_dim
-    top = space.cells_of_dim(k)
-    label: dict = {}
-    components = []
-    for cid in top:
-        if cid in label:
-            continue
-        comp = {cid}
-        label[cid] = len(components)
-        queue = deque([cid])
-        while queue:
-            cur = queue.popleft()
-            for f in space.cells[cur].boundary:
-                if f in barrier:
-                    continue
-                for nxt in space.cofaces(f):
-                    if nxt != cur and nxt not in label:
-                        label[nxt] = len(components)
-                        comp.add(nxt)
-                        queue.append(nxt)
-        components.append(frozenset(comp))
-    components.sort(key=min)
+    components = [frozenset(c)
+                  for c in face_components(space, top, barrier)]
 
     boundary_ok = []
     for comp in components:
@@ -164,21 +142,6 @@ def first_crossing(space: DiscreteSpace, s: CellChain,
 # -- path flattening ---------------------------------------------------------
 
 
-def _chain_closure_edges(space: DiscreteSpace, s: CellChain) -> frozenset:
-    edges = set()
-    stack = list(_submanifold_cells(space, s))
-    seen = set(stack)
-    while stack:
-        cid = stack.pop()
-        if cid[0] == 1:
-            edges.add(cid[1])
-        for b in space.cells[cid].boundary:
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return frozenset(edges)
-
-
 def _intersection_with(space: DiscreteSpace, path: CellChain, s_verts,
                        s_edges):
     verts = frozenset(v for v in path.verts if v in s_verts)
@@ -204,9 +167,10 @@ def flatten_path(space: DiscreteSpace, s: CellChain, p_i: CellChain,
         raise PreconditionError("the separating chain itself is not "
                                 "locally flat")
     s_verts = s.vertex_set()
-    s_edges = _chain_closure_edges(space, s)
-    s_faces = sorted(c for c in _face_closure(space, s) if c[0] == 2)
-    sub = _restrict_to(space, s)
+    s_cells = closure(space, _submanifold_cells(space, s))
+    s_edges = frozenset(e for d, e in s_cells if d == 1)
+    s_faces = sorted(c for c in s_cells if c[0] == 2)
+    sub = _restrict_to(space, s_cells)
     smap = sub["map"]
     s_space = sub["space"]
 
@@ -254,27 +218,14 @@ def flatten_path(space: DiscreteSpace, s: CellChain, p_i: CellChain,
     return cur, bridge
 
 
-def _face_closure(space: DiscreteSpace, s: CellChain) -> frozenset:
-    out = set()
-    stack = list(_submanifold_cells(space, s))
-    while stack:
-        cid = stack.pop()
-        if cid in out:
-            continue
-        out.add(cid)
-        stack.extend(space.cells[cid].boundary)
-    return frozenset(out)
-
-
-def _restrict_to(space: DiscreteSpace, s: CellChain) -> dict:
-    """The chain's own cells as a standalone space with dense vertex ids."""
-    closure = _face_closure(space, s)
-    verts = sorted({v for cid in closure for v in cid[1]})
+def _restrict_to(space: DiscreteSpace, s_cells: frozenset) -> dict:
+    """A closed cell set as a standalone space with dense vertex ids."""
+    verts = sorted({v for cid in s_cells for v in cid[1]})
     smap = {v: i for i, v in enumerate(verts)}
     edges = [(smap[a], smap[b]) for d, (a, b) in
-             (c for c in closure if c[0] == 1)]
+             (c for c in s_cells if c[0] == 1)]
     cells: dict = {}
-    for cid in closure:
+    for cid in s_cells:
         if cid[0] >= 2:
             cells.setdefault(cid[0], []).append(
                 tuple(sorted(smap[v] for v in cid[1])))
@@ -286,8 +237,6 @@ def _bridge_off_chain(space: DiscreteSpace, s_verts, start: CellChain,
                       goal: CellChain, max_states: int = 20000):
     """Single-cell moves from ``start`` through chain-free paths until one
     step of side-gradual variation reaches ``goal``."""
-    from .deformation import realizing_cells
-
     def clean(chain):
         return not (set(chain.verts) & s_verts)
 
@@ -306,34 +255,25 @@ def _bridge_off_chain(space: DiscreteSpace, s_verts, start: CellChain,
         trace = finish((start,), ())
         if trace is not None:
             return trace
-    seen = {frozenset(_all_edges(start))}
-    frontier = [(start, (start,), ())]
     states = 0
-    while frontier:
-        nxt_frontier = []
-        for cur, steps, moves in frontier:
-            for cell in space.cells_of_dim(2):
-                nxt = single_cell_move(space, cur, cell)
-                if nxt is None or not clean(nxt):
-                    continue
-                key = frozenset(_all_edges(nxt))
-                if key in seen:
-                    continue
-                seen.add(key)
-                states += 1
-                if states > max_states:
-                    raise BudgetExhausted("bridge search exceeded its "
-                                          "state budget", state=cur)
-                ns = steps + (nxt,)
-                nm = moves + (frozenset((cell,)),)
-                if are_side_gradually_varied(space, nxt, goal):
-                    trace = finish(ns, nm)
-                    if trace is not None:
-                        return trace
-                nxt_frontier.append((nxt, ns, nm))
-        frontier = nxt_frontier
-    raise BudgetExhausted("no chain-free bridge reaches the flattened path",
-                          state=start)
+
+    def accept(steps, moves):
+        nonlocal states
+        if not clean(steps[-1]):
+            return False
+        states += 1
+        if states > max_states:
+            raise BudgetExhausted("bridge search exceeded its state budget",
+                                  state=steps[-2])
+        if are_side_gradually_varied(space, steps[-1], goal):
+            return finish(steps, moves)
+        return None
+
+    trace = bfs_moves(space, start, space.cells_of_dim(2), accept)
+    if trace is None:
+        raise BudgetExhausted("no chain-free bridge reaches the flattened "
+                              "path", state=start)
+    return trace
 
 
 # -- contraction of a component ----------------------------------------------
@@ -369,39 +309,6 @@ def _faces(space: DiscreteSpace, cid) -> frozenset:
     return frozenset(space.cells[cid].boundary)
 
 
-def _patch_connected(space: DiscreteSpace, patch) -> bool:
-    patch = sorted(patch)
-    if not patch:
-        return False
-    if len(patch) == 1:
-        return True
-    adj = {c: set() for c in patch}
-    by_face: dict = {}
-    for c in patch:
-        for f in space.cells[c].boundary:
-            by_face.setdefault(f, []).append(c)
-    for f, cs in by_face.items():
-        for a, b in itertools.combinations(cs, 2):
-            adj[a].add(b)
-            adj[b].add(a)
-    seen = {patch[0]}
-    stack = [patch[0]]
-    while stack:
-        for n in adj[stack.pop()]:
-            if n not in seen:
-                seen.add(n)
-                stack.append(n)
-    return len(seen) == len(patch)
-
-
-def _is_pseudo_manifold(space: DiscreteSpace, cells) -> bool:
-    count: dict = {}
-    for cid in cells:
-        for f in space.cells[cid].boundary:
-            count[f] = count.get(f, 0) + 1
-    return bool(cells) and all(n == 2 for n in count.values())
-
-
 def contract_to_cell(space: DiscreteSpace, component, s: CellChain,
                      seed) -> ContractionTrace:
     """Dissolve the component cell by cell, farthest from the seed first.
@@ -434,7 +341,8 @@ def contract_to_cell(space: DiscreteSpace, component, s: CellChain,
                        key=lambda c: (-dist.get(c, len(component) + 1), c))
         chosen = None
         for cand in order:
-            if _patch_connected(space, _faces(space, cand) & surface):
+            if len(face_components(space, _faces(space, cand) & surface)) \
+                    == 1:
                 chosen = cand
                 break
         if chosen is None:
@@ -448,7 +356,7 @@ def contract_to_cell(space: DiscreteSpace, component, s: CellChain,
             raise UnsupportedConfiguration(
                 "step does not realize the cell boundary as a XorSum",
                 cell=chosen)
-        if not _is_pseudo_manifold(space, new_surface):
+        if not is_closed(space, new_surface):
             raise UnsupportedConfiguration(
                 "intermediate surface is not a closed pseudo-manifold",
                 cell=chosen)
@@ -514,7 +422,7 @@ def verify_contraction_trace(space: DiscreteSpace, component, s: CellChain,
         before, after = trace.surfaces[i], trace.surfaces[i + 1]
         if before.symmetric_difference(after) != _faces(space, r.cell):
             report.add("step %d XorSum is not the removed cell boundary" % i)
-        if not _is_pseudo_manifold(space, after):
+        if not is_closed(space, after):
             report.add("surface after step %d is not a closed "
                        "pseudo-manifold" % i)
     if trace.surfaces[-1] != _faces(space, trace.seed):

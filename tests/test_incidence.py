@@ -1,0 +1,197 @@
+"""Property tests of the shared incidence helpers against independent
+references: networkx components, the recursive closure, explicit face
+counts and the edge list of a walk."""
+
+import itertools
+
+import networkx as nx
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from celltopo import generators as gen
+from celltopo.complexes import (DiscreteSpace, closure, edge_key,
+                                face_components, face_counts, is_closed,
+                                walk)
+from celltopo.errors import InputError
+
+SPACES = {
+    "octahedron": gen.octahedron(),
+    "simplex4": gen.simplex_boundary(4),
+    "cube3": gen.cube_boundary(3),
+    "cube4": gen.cube_boundary(4),
+    "torus": gen.torus_grid(4, 4),
+    "seven": gen.seven_vertex_torus(),
+}
+
+PROPS = settings(max_examples=60, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def cell_sets(draw):
+    """A space, a set of its d-cells and a set of its (d-1)-cells."""
+    space = SPACES[draw(st.sampled_from(sorted(SPACES)))]
+    d = draw(st.integers(1, space.top_dim))
+    cells = draw(st.sets(st.sampled_from(space.cells_of_dim(d))))
+    blocked = draw(st.sets(st.sampled_from(space.cells_of_dim(d - 1))))
+    return space, cells, frozenset(blocked)
+
+
+@PROPS
+@given(cell_sets())
+def test_face_components_match_networkx(case):
+    space, cells, blocked = case
+    dual = nx.Graph()
+    dual.add_nodes_from(cells)
+    for a, b in itertools.combinations(cells, 2):
+        shared = set(space.cells[a].boundary) & set(space.cells[b].boundary)
+        if shared - blocked:
+            dual.add_edge(a, b)
+    comps = face_components(space, cells, blocked)
+    assert {frozenset(c) for c in comps} == \
+        {frozenset(c) for c in nx.connected_components(dual)}
+    assert all(c == sorted(c) for c in comps)
+    assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+
+
+def _recursive_closure(space, cid):
+    out = {cid}
+    for b in space.cells[cid].boundary:
+        out |= _recursive_closure(space, b)
+    return out
+
+
+@PROPS
+@given(cell_sets(), st.integers(0, 3))
+def test_closure_matches_recursive_definition(case, dim):
+    space, cells, _ = case
+    want = set()
+    for cid in cells:
+        want |= _recursive_closure(space, cid)
+    assert closure(space, cells) == want
+    assert closure(space, cells, dim) == {c for c in want if c[0] == dim}
+
+
+@PROPS
+@given(cell_sets())
+def test_is_closed_matches_explicit_count(case):
+    space, cells, _ = case
+    faces = {f for cid in cells for f in space.cells[cid].boundary}
+    count = {f: sum(f in space.cells[cid].boundary for cid in cells)
+             for f in faces}
+    assert face_counts(space, cells) == count
+    assert is_closed(space, cells) == \
+        (bool(cells) and all(n == 2 for n in count.values()))
+
+
+def test_is_closed_on_spheres_and_cell_boundaries():
+    for space in SPACES.values():
+        assert is_closed(space, space.cells_of_dim(space.top_dim))
+        for cid in space.cells_of_dim(space.top_dim):
+            if cid[0] >= 3:
+                assert is_closed(space, space.cells[cid].boundary)
+    assert not is_closed(SPACES["octahedron"], ())
+
+
+@st.composite
+def simple_walks(draw):
+    """A self-avoiding vertex walk of one space's graph, and whether its
+    last vertex is adjacent to its first."""
+    space = SPACES[draw(st.sampled_from(sorted(SPACES)))]
+    order = [draw(st.integers(0, space.n_vertices - 1))]
+    for _ in range(draw(st.integers(1, space.n_vertices - 1))):
+        options = [w for w in space.vertex_neighbors(order[-1])
+                   if w not in order]
+        if not options:
+            break
+        order.append(draw(st.sampled_from(options)))
+    closable = len(order) >= 3 and \
+        edge_key(order[0], order[-1]) in space.edges
+    return space, order, closable
+
+
+def _pairs(order, closed):
+    pairs = list(zip(order, order[1:]))
+    if closed:
+        pairs.append((order[-1], order[0]))
+    return {edge_key(u, v) for u, v in pairs}
+
+
+@PROPS
+@given(simple_walks())
+def test_walk_orders_paths_and_cycles(case):
+    space, order, closable = case
+    edges = _pairs(order, False)
+    got = walk(edges)
+    assert len(got) == len(edges) + 1 and _pairs(got, False) == edges
+    assert got[0] == min(order[0], order[-1])
+    assert walk(edges, start=order[-1])[0] == order[-1]
+    if len(order) > 2:
+        assert walk(edges, start=order[1]) is None
+    if closable:
+        ring = _pairs(order, True)
+        got = walk(ring)
+        assert len(got) == len(ring) and _pairs(got, True) == ring
+        assert got[0] == min(order) and got[1] < got[-1]
+
+
+@PROPS
+@given(simple_walks(), st.data())
+def test_walk_rejects_branched_and_split_sets(case, data):
+    space, order, closable = case
+    edges = _pairs(order, closable)
+    on = set(order)
+    spurs = [edge_key(v, w) for v in order[1:-1]
+             for w in space.vertex_neighbors(v) if w not in on]
+    apart = [e for e in space.edges if not (set(e) & on)]
+    if spurs:
+        assert walk(edges | {data.draw(st.sampled_from(spurs))}) is None
+    if apart:
+        assert walk(edges | {data.draw(st.sampled_from(sorted(apart)))}) \
+            is None
+    assert walk(set()) is None
+
+
+def test_walk_orders_cell_loops():
+    for space in SPACES.values():
+        for cid in space.cells_of_dim(2):
+            ring = {b[1] for b in space.cells[cid].boundary}
+            got = walk(ring)
+            assert len(got) == len(ring) and _pairs(got, True) == ring
+
+
+# -- construction regressions -------------------------------------------------
+
+
+def _tetrahedron_faces(vs):
+    return [tuple(t) for t in itertools.combinations(vs, 3)]
+
+
+def test_open_three_cell_boundary_rejected():
+    # three of the four triangles of a tetrahedron do not close up
+    faces = _tetrahedron_faces(range(4))
+    with pytest.raises(InputError, match="not a closed cycle"):
+        DiscreteSpace(4, list(itertools.combinations(range(4), 2)),
+                      {2: faces, 3: [(0, 1, 2, 3)]},
+                      boundaries={(3, (0, 1, 2, 3)):
+                                  tuple((2, f) for f in faces[:3])})
+
+
+def test_split_three_cell_boundary_rejected():
+    # two disjoint tetrahedron boundaries are closed but not connected
+    faces = _tetrahedron_faces(range(4)) + _tetrahedron_faces(range(4, 8))
+    edges = list(itertools.combinations(range(4), 2)) + \
+        list(itertools.combinations(range(4, 8), 2))
+    with pytest.raises(InputError, match="not a closed cycle"):
+        DiscreteSpace(8, edges, {2: faces, 3: [tuple(range(8))]},
+                      boundaries={(3, tuple(range(8))):
+                                  tuple((2, f) for f in faces)})
+
+
+def test_split_two_cell_boundary_rejected():
+    # a 2-cell bounded by two disjoint triangles has no single loop
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    with pytest.raises(InputError, match="simple closed cycle"):
+        DiscreteSpace(6, edges, {2: [tuple(range(6))]})
+

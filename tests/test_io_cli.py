@@ -268,3 +268,53 @@ def test_cmd_export_log_only(octa_file, tmp_path, capsys):
 
 def test_cmd_export_unknown_format(octa_file):
     assert cli.main(["export", octa_file, "--format", "svg"]) == 1
+
+
+# -- malformed files ---------------------------------------------------------
+
+
+def _trace_text(simplex4):
+    sphere = gen.equator(simplex4, "simplex-boundary")
+    report = components_of_complement(simplex4, sphere)
+    big = next(c for c in report.components if len(c) == 4)
+    trace = contract_to_cell(simplex4, big, sphere, sorted(big)[0])
+    return dio.save_trace(simplex4, sphere, trace)
+
+
+@pytest.mark.parametrize("kind, old, new", [
+    ("dsc", "dim 2", "dim x"),
+    ("dsc", "dim 2", "dim"),
+    ("dsc", "oriented 1", "oriented"),
+    ("dsc", "oriented 1", "oriented 2"),
+    ("dsc", "vertices 6", "vertices -6"),
+    ("dsc", "edges 12", "edges x"),
+    ("dsc", "cells 2 8", "cells 2"),
+    ("dsc", "cells 2 8", "cells x 8"),
+    ("dsc", "0 1 2 | 0 1 4", "0 1 2 | 0 1 x"),
+    ("dsc", "chain eq 1", "chain eq 5"),
+    ("dsc", "chain eq 1", "chain eq -1"),
+    ("dsc", "4 5 7 9", "4 5 7 -1"),
+    ("dsc", "4 5 7 9", "4 5 7 12"),
+    ("dsc", "chain eq 1\n4 5 7 9", "chain eq 0\n6"),
+    ("trace", "trace contract 3", "trace contract"),
+    ("trace", "seed 1", "seed -1"),
+    ("trace", "seed 1", "seed x"),
+    ("trace", "step 2 | 1 | 2 5 8", "step 5 | 1 | 2 5 8"),
+    ("trace", "step 2 | 1 | 2 5 8", "step 2 | -1 | 2 5 8"),
+])
+def test_malformed_file_is_parse_error(kind, old, new, octa, simplex4,
+                                       tmp_path, capsys):
+    # every malformed header integer or index exits 2 with a message, never
+    # with a traceback or a silently wrapped index
+    if kind == "dsc":
+        text = dio.save_complex(octa, {"eq": gen.equator(octa, "octahedron")})
+    else:
+        text = _trace_text(simplex4)
+    assert old + "\n" in text
+    path = tmp_path / "bad.txt"
+    path.write_text(text.replace(old + "\n", new + "\n", 1))
+    argv = ["check", str(path)] if kind == "dsc" else \
+        ["export", str(path), "--out", str(tmp_path / "snap")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and "Traceback" not in err
