@@ -13,7 +13,7 @@ import sys
 from . import io as dio
 from .complexes import check_regular, is_closed
 from .errors import InputError, PreconditionError, UnsupportedConfiguration
-from .flatness import build_collar, is_locally_flat
+from .flatness import _collar, is_locally_flat
 from .separation import (_submanifold_cells, components_of_complement,
                          contract_to_cell, verify_contraction_trace)
 
@@ -92,7 +92,7 @@ def cmd_flat(args) -> int:
         return EXIT_VIOLATION
     print("locally flat")
     try:
-        cert = build_collar(space, chain)
+        cert = _collar(space, chain)
     except PreconditionError as exc:
         print("collar: none (%s)" % exc)
         return EXIT_OK

@@ -6,8 +6,11 @@ a closed minimal cycle of ``(i-1)``-cells.  Vertices are dense integers,
 edges are sorted pairs, and a cell id is the pair ``(dim, sorted vertex
 tuple)``, so every iteration order in the package is deterministic.
 
-Construction enforces the structural invariants once; afterwards a space is
-immutable and every query here is a pure function, safe to run concurrently.
+Construction enforces the structural invariants once and builds one
+incidence index: the cells of each dimension, the cells at each vertex, the
+cofaces of each cell, the neighbours of each vertex and the same-dimension
+cells sharing a face with each cell.  Afterwards a space is immutable; every
+query reads the index and is a pure function, safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -157,19 +160,19 @@ class DiscreteSpace:
         if n_vertices <= 0:
             raise InputError("a space needs at least one vertex")
         self.n_vertices = n_vertices
-        self._caches: dict = {}
         self.edges = frozenset(edge_key(u, v) for u, v in edges)
         for u, v in self.edges:
             if not (0 <= u < n_vertices and 0 <= v < n_vertices) or u == v:
                 raise InputError("bad edge (%d, %d)" % (u, v))
 
         self.cells: dict = {}
+        self._dims: dict = {}
+        self._at_vertex: dict = {v: [] for v in range(n_vertices)}
+        self._cofaces: dict = {}
         for v in range(n_vertices):
-            c = Cell(0, (v,), ())
-            self.cells[c.id] = c
+            self._register(Cell(0, (v,), ()))
         for e in sorted(self.edges):
-            c = Cell(1, e, ((0, (e[0],)), (0, (e[1],))))
-            self.cells[c.id] = c
+            self._register(Cell(1, e, ((0, (e[0],)), (0, (e[1],)))))
 
         dims = sorted(d for d in cells_by_dim if cells_by_dim[d])
         if any(d < 2 for d in dims):
@@ -187,19 +190,39 @@ class DiscreteSpace:
                 cid = (d, verts)
                 bnd = boundaries.get(cid)
                 if bnd is None:
-                    bnd = tuple(sorted(
-                        c for c in self.cells
-                        if c[0] == d - 1 and set(c[1]) <= set(verts)))
-                else:
-                    bnd = tuple(sorted(bnd))
+                    # every (d-1)-cell inside the cell has one of its vertices
+                    vs = set(verts)
+                    bnd = {c for v in verts for c in self._at_vertex.get(v, ())
+                           if c[0] == d - 1 and set(c[1]) <= vs}
+                bnd = tuple(sorted(bnd))
                 loop = self._validate_boundary(d, verts, bnd)
-                self.cells[cid] = Cell(d, verts, bnd, loop)
+                self._register(Cell(d, verts, bnd, loop))
+
+        for index in (self._dims, self._at_vertex, self._cofaces):
+            for cs in index.values():
+                cs.sort()
+        # a vertex's edges, sorted, end at its neighbours in ascending order
+        self._nbrs = [tuple(w for e in self.cofaces((0, (v,)))
+                            for w in e[1] if w != v)
+                      for v in range(n_vertices)]
+        self._adjacent = {
+            cid: tuple(sorted({n for f in c.boundary for n in self._cofaces[f]
+                               if n != cid}))
+            for cid, c in self.cells.items()}
 
         self._check_well_attachment()
         if self.top_dim == 2:
             self.oriented = self._orient_two_cells()
         else:
             self.oriented = bool(oriented) if oriented is not None else False
+
+    def _register(self, cell: Cell):
+        self.cells[cell.id] = cell
+        self._dims.setdefault(cell.dim, []).append(cell.id)
+        for v in cell.verts:
+            self._at_vertex[v].append(cell.id)
+        for b in cell.boundary:
+            self._cofaces.setdefault(b, []).append(cell.id)
 
     # -- construction-time validation -------------------------------------
 
@@ -241,18 +264,22 @@ class DiscreteSpace:
         return None
 
     def _check_well_attachment(self):
-        """Any two same-dimension cells intersect in a connected vertex set."""
+        """Any two same-dimension cells intersect in a connected vertex set.
+
+        Pairs go in ascending (a, b) order; only pairs sharing a vertex can
+        fail, so only those are visited.
+        """
         for d in range(2, self.top_dim + 1):
-            same = self.cells_of_dim(d)
-            for a, b in itertools.combinations(same, 2):
-                inter = set(a[1]) & set(b[1])
-                if len(inter) <= 1:
-                    continue
-                if not self._induces_connected(inter):
-                    raise InputError(
-                        "cells %r and %r are not well-attached: their "
-                        "intersection %r induces a disconnected subgraph"
-                        % (a, b, tuple(sorted(inter))))
+            for a in self.cells_of_dim(d):
+                near = {b for v in a[1] for b in self.cells_containing(v, d)
+                        if b > a}
+                for b in sorted(near):
+                    inter = set(a[1]) & set(b[1])
+                    if len(inter) > 1 and not self._induces_connected(inter):
+                        raise InputError(
+                            "cells %r and %r are not well-attached: their "
+                            "intersection %r induces a disconnected subgraph"
+                            % (a, b, tuple(sorted(inter))))
 
     def _induces_connected(self, vs: set) -> bool:
         vs = set(vs)
@@ -270,11 +297,7 @@ class DiscreteSpace:
     def _orient_two_cells(self) -> bool:
         """Flip 2-cell loops so adjacent cells traverse shared edges in
         opposite directions.  Returns False if no consistent choice exists."""
-        by_edge: dict = {}
-        for cid in self.cells_of_dim(2):
-            for b in self.cells[cid].boundary:
-                by_edge.setdefault(b, []).append(cid)
-        if any(len(cs) > 2 for cs in by_edge.values()):
+        if any(len(self.cofaces(e)) > 2 for e in self.cells_of_dim(1)):
             return False
 
         def direction(loop, e):
@@ -296,7 +319,7 @@ class DiscreteSpace:
                 if flipped[cur]:
                     cur_loop = tuple(reversed(cur_loop))
                 for b in self.cells[cur].boundary:
-                    for other in by_edge[b]:
+                    for other in self.cofaces(b):
                         if other == cur:
                             continue
                         want = -direction(cur_loop, b[1])
@@ -321,44 +344,29 @@ class DiscreteSpace:
             raise InputError("unknown vertex id %r" % (v,))
 
     def cells_of_dim(self, d: int) -> list:
-        key = ("dims", d)
-        if key not in self._caches:
-            self._caches[key] = sorted(c for c in self.cells if c[0] == d)
-        return self._caches[key]
+        """The d-cells, sorted."""
+        return self._dims.get(d, [])
 
     def vertex_neighbors(self, v: int) -> tuple:
-        key = "nbrs"
-        if key not in self._caches:
-            nbrs = [[] for _ in range(self.n_vertices)]
-            for u, w in sorted(self.edges):
-                nbrs[u].append(w)
-                nbrs[w].append(u)
-            self._caches[key] = [tuple(sorted(x)) for x in nbrs]
-        return self._caches[key][v]
+        """The vertices joined to ``v`` by an edge, sorted."""
+        return self._nbrs[v]
 
     def cells_containing(self, v: int, dim: int | None = None) -> list:
-        key = "vert2cells"
-        if key not in self._caches:
-            m: dict = {u: [] for u in range(self.n_vertices)}
-            for cid in sorted(self.cells):
-                for u in cid[1]:
-                    m[u].append(cid)
-            self._caches[key] = m
-        cs = self._caches[key][v]
+        """The cells having ``v`` as a vertex (only the ``dim``-cells when
+        ``dim`` is given), sorted."""
+        cs = self._at_vertex[v]
         if dim is None:
             return cs
         return [c for c in cs if c[0] == dim]
 
     def cofaces(self, cid: CellId) -> list:
-        """Cells of dimension dim+1 whose boundary contains ``cid``."""
-        key = "cofaces"
-        if key not in self._caches:
-            m: dict = {}
-            for c in sorted(self.cells):
-                for b in self.cells[c].boundary:
-                    m.setdefault(b, []).append(c)
-            self._caches[key] = m
-        return self._caches[key].get(cid, [])
+        """Cells of dimension dim+1 whose boundary contains ``cid``, sorted."""
+        return self._cofaces.get(cid, [])
+
+    def cell_neighbors(self, cid: CellId) -> tuple:
+        """Cells of the same dimension sharing a boundary face with ``cid``,
+        sorted."""
+        return self._adjacent[cid]
 
 
 # -- incidence -------------------------------------------------------------
@@ -388,22 +396,20 @@ def face_components(space: DiscreteSpace, cells,
     Each component is a sorted list, and components come in the order of
     their smallest cell.  The shared faces of 1-cells are vertices.
     """
-    by_face: dict = {}
-    for c in cells:
-        for f in space.cells[c].boundary:
-            if f not in blocked:
-                by_face.setdefault(f, []).append(c)
+    members = set(cells)
     comps = []
     seen: set = set()
-    for c in sorted(cells):
+    for c in sorted(members):
         if c in seen:
             continue
         seen.add(c)
         comp = [c]
         for cur in comp:
             for f in space.cells[cur].boundary:
-                for n in by_face.get(f, ()):
-                    if n not in seen:
+                if f in blocked:
+                    continue
+                for n in space.cofaces(f):
+                    if n in members and n not in seen:
                         seen.add(n)
                         comp.append(n)
         comps.append(sorted(comp))
@@ -469,7 +475,8 @@ def partial_graph(space: DiscreteSpace, s) -> frozenset:
     s = set(s)
     for v in s:
         space.require_vertex(v)
-    return frozenset(e for e in space.edges if e[0] in s and e[1] in s)
+    return frozenset(e for v in s for _, e in space.cells_containing(v, 1)
+                     if e[0] in s and e[1] in s)
 
 
 def is_minimal_cycle(space: DiscreteSpace, chain: CellChain) -> bool:
@@ -544,9 +551,8 @@ def check_regular(space: DiscreteSpace, k: int | None = None) -> CheckReport:
         return report
 
     top = space.cells_of_dim(k)
-    counts = face_counts(space, top)
     for f in space.cells_of_dim(k - 1):
-        n = counts.get(f, 0)
+        n = len(space.cofaces(f))
         if n not in (1, 2):
             report.add("clause 2: %d-cell %r lies in %d %d-cells"
                        % (k - 1, f, n, k))
@@ -594,11 +600,8 @@ def is_closed_manifold(space: DiscreteSpace) -> bool:
 def is_discrete_curve(space: DiscreteSpace, chain: CellChain) -> bool:
     """True iff no cell of dimension >= 2 has all its vertices on the chain."""
     vs = chain.vertex_set()
-    for d in range(2, space.top_dim + 1):
-        for cid in space.cells_of_dim(d):
-            if set(cid[1]) <= vs:
-                return False
-    return True
+    return not any(cid[0] >= 2 and set(cid[1]) <= vs
+                   for v in vs for cid in space.cells_containing(v))
 
 
 def orientation_of_cycle(space: DiscreteSpace, cycle: CellChain, sub_arc) -> str:

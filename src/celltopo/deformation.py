@@ -97,11 +97,15 @@ def are_gradually_varied(space: DiscreteSpace, c: CellChain,
                    and _within_one_cell(space, c.verts[-1], cp.verts[0]))
         if not (straight or flipped):
             return False
-    union = c.vertex_set() | cp.vertex_set()
-    bridge_cells = [cid for cid in space.cells_of_dim(2)
-                    if set(cid[1]) <= union]
+    bridge_cells = _spanned_cells(space, c.vertex_set() | cp.vertex_set())
     return (_half_varied(space, c, cp, bridge_cells)
             and _half_varied(space, cp, c, bridge_cells))
+
+
+def _spanned_cells(space: DiscreteSpace, verts: frozenset) -> list:
+    """The 2-cells with every vertex in ``verts``, sorted."""
+    return sorted({cid for v in verts for cid in space.cells_containing(v, 2)
+                   if set(cid[1]) <= verts})
 
 
 def _half_varied(space: DiscreteSpace, c: CellChain, cp: CellChain,
@@ -248,8 +252,7 @@ def decompose_minimal_moves(space: DiscreteSpace, c: CellChain,
         # slack endpoints stay exempt from decomposition.
         raise PreconditionError("single-cell decomposition needs matching "
                                 "endpoints")
-    union = c.vertex_set() | cp.vertex_set()
-    pool = [cid for cid in space.cells_of_dim(2) if set(cid[1]) <= union]
+    pool = _spanned_cells(space, c.vertex_set() | cp.vertex_set())
     target = set(_all_edges(cp))
 
     steps = [c]
@@ -293,8 +296,7 @@ def realizing_cells(space: DiscreteSpace, c1: CellChain, c2: CellChain):
 
     Solved as a linear system over GF(2) with one row per candidate cell.
     """
-    union = c1.vertex_set() | c2.vertex_set()
-    pool = [cid for cid in space.cells_of_dim(2) if set(cid[1]) <= union]
+    pool = _spanned_cells(space, c1.vertex_set() | c2.vertex_set())
     target = frozenset(set(_all_edges(c1)).symmetric_difference(
         _all_edges(c2)))
     if not target:
@@ -503,8 +505,7 @@ def detour_sequence(space: DiscreteSpace, c0: CellChain, c1: CellChain,
     if set(_all_edges(c0)) | set(_all_edges(c1)) != rim:
         raise PreconditionError("the arcs do not jointly bound the "
                                 "forbidden cell")
-    enclosing = [cid for cid in space.cells_of_dim(3)
-                 if forbidden in space.cells[cid].boundary]
+    enclosing = space.cofaces(forbidden)
     if enclosing:
         pool = [f for f in space.cells[enclosing[0]].boundary
                 if f != forbidden]
@@ -589,10 +590,11 @@ def search_contraction(space: DiscreteSpace, cycle: CellChain, p: int,
         raise InputError("anchor %d is not on the cycle" % p)
 
     def goal_cell(chain):
-        for cid in space.cells_of_dim(2):
+        # a 2-cell bounded by the chain is a coface of each of its edges
+        edges = set(_all_edges(chain))
+        for cid in space.cofaces((1, edge_key(*chain.verts[:2]))):
             if p in cid[1] and \
-                    {b[1] for b in space.cells[cid].boundary} == \
-                    set(_all_edges(chain)):
+                    {b[1] for b in space.cells[cid].boundary} == edges:
                 return cid
         return None
 

@@ -15,7 +15,8 @@ import itertools
 from dataclasses import dataclass
 
 from .complexes import (CellChain, CheckReport, DiscreteSpace, closure,
-                        edge_key, face_components, face_counts, link, walk)
+                        edge_key, face_components, face_counts, link,
+                        partial_graph, walk)
 from .errors import InputError, PreconditionError
 from .metrics import k_cell_distance
 
@@ -182,30 +183,17 @@ class CollarCertificate:
 def _side_cells(space: DiscreteSpace, chain: CellChain) -> list:
     """Top cells carrying the collar: those containing a chain cell of
     codimension one in them, or an interior chain vertex."""
-    k = space.top_dim
-    verts = chain.vertex_set()
-    if chain.dim == 1:
-        if chain.closed:
-            interior = set(chain.verts)
-        else:
-            interior = set(chain.verts[1:-1])
-        edges = chain.edge_set()
-        picked = []
-        for cid in space.cells_of_dim(k):
-            cverts = set(cid[1])
-            has_edge = any(set(e) <= cverts and
-                           (1, e) in closure(space, (cid,), 1)
-                           for e in edges)
-            if has_edge or interior & cverts:
-                picked.append(cid)
-        return picked
-    chain_cells = set(chain.cells)
-    picked = []
-    for cid in space.cells_of_dim(k):
-        faces = set(space.cells[cid].boundary)
-        if faces & chain_cells or verts & set(cid[1]):
-            picked.append(cid)
-    return picked
+    # either kind of top cell has a chain vertex
+    near = sorted({cid for v in chain.vertex_set()
+                   for cid in space.cells_containing(v, space.top_dim)})
+    if chain.dim != 1:
+        return near
+    interior = set(chain.verts if chain.closed else chain.verts[1:-1])
+    edges = chain.edge_set()
+    return [cid for cid in near
+            if interior & set(cid[1])
+            or any(set(e) <= set(cid[1]) and
+                   (1, e) in closure(space, (cid,), 1) for e in edges)]
 
 
 def build_collar(space: DiscreteSpace, chain: CellChain) -> CollarCertificate:
@@ -219,6 +207,11 @@ def build_collar(space: DiscreteSpace, chain: CellChain) -> CollarCertificate:
     if not flat:
         raise PreconditionError("chain is not locally flat: %s"
                                 % "; ".join(flat.problems[:3]))
+    return _collar(space, chain)
+
+
+def _collar(space: DiscreteSpace, chain: CellChain) -> CollarCertificate:
+    """``build_collar`` after its flatness check, for callers that made it."""
     verts = chain.vertex_set()
     cells = _side_cells(space, chain)
     # sides never join across the chain: for a curve, not across any face
@@ -274,8 +267,7 @@ def verify_collar(space: DiscreteSpace, chain: CellChain,
             continue
         if sheet & verts:
             report.add("sheet %d meets the base chain" % i)
-        induced = [e for e in space.edges
-                   if e[0] in sheet and e[1] in sheet]
+        induced = partial_graph(space, sheet)
         if len(sheet) > 1:
             comps = face_components(space, [(1, e) for e in induced])
             split = len(comps) != 1 or \

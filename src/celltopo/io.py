@@ -320,8 +320,6 @@ def load_trace(text: str):
     faces = space.cells_of_dim(k - 1)
     seed = top[_int(_expect(reader, "seed", 1)[0], reader, "seed", len(top))]
     removals = []
-    surface = _submanifold_cells(space, chains["surface"])
-    surfaces = [surface]
     for _ in range(count):
         parts = _expect(reader, "step")
         row = " ".join(parts)
@@ -336,10 +334,8 @@ def load_trace(text: str):
             faces[_int(i, reader, "face index", len(faces))]
             for i in bits[2].split())
         removals.append(Removal(cell, replaced, replacement))
-        surface = (surface - replaced) | replacement
-        surfaces.append(surface)
-    trace = ContractionTrace(seed, tuple(removals), tuple(surfaces),
-                             direction)
+    first = _submanifold_cells(space, chains["surface"])
+    trace = ContractionTrace(seed, first, tuple(removals), direction)
     replay(trace)
     return space, chains, trace
 

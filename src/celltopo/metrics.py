@@ -6,8 +6,9 @@ and where consecutive cells share an (i-1)-cell.  Level 1 is ordinary
 edge (graph) distance.  Within a single cell any two vertices count as
 distance 1 at that cell's level.
 
-Adjacency structures are built once per space and cached on it; all
-queries afterwards are pure reads.
+Both distances walk the space's incidence index, built with the space:
+the vertex neighbours at level 1 and the face adjacency of i-cells above
+it, so every query is a pure read.
 """
 
 from __future__ import annotations
@@ -41,19 +42,6 @@ def graph_distance(space: DiscreteSpace, x: int, y: int):
     return UNREACHABLE
 
 
-def _cell_adjacency(space: DiscreteSpace, i: int) -> dict:
-    key = ("cell_adj", i)
-    if key not in space._caches:
-        adj = {c: set() for c in space.cells_of_dim(i)}
-        for f in space.cells_of_dim(i - 1):
-            cs = space.cofaces(f)
-            for a, b in itertools.combinations(cs, 2):
-                adj[a].add(b)
-                adj[b].add(a)
-        space._caches[key] = {c: tuple(sorted(s)) for c, s in adj.items()}
-    return space._caches[key]
-
-
 def k_cell_distance(space: DiscreteSpace, x: int, y: int, i: int):
     """Minimum length of an (i-1)-connected i-cell sequence from x to y."""
     space.require_vertex(x)
@@ -68,15 +56,17 @@ def k_cell_distance(space: DiscreteSpace, x: int, y: int, i: int):
     targets = set(space.cells_containing(y, i))
     if not sources or not targets:
         return UNREACHABLE
-    adj = _cell_adjacency(space, i)
+    if targets.intersection(sources):
+        return 1
+    # breadth first, so the first target reached is a nearest one
     dist = {c: 1 for c in sources}
     queue = deque(sources)
     while queue:
         c = queue.popleft()
-        if c in targets:
-            return dist[c]
-        for n in adj[c]:
+        for n in space.cell_neighbors(c):
             if n not in dist:
+                if n in targets:
+                    return dist[c] + 1
                 dist[n] = dist[c] + 1
                 queue.append(n)
     return UNREACHABLE

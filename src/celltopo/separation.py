@@ -87,22 +87,19 @@ def components_of_complement(space: DiscreteSpace,
         ok = all(any(c in comp for c in space.cofaces(f)) for f in barrier)
         boundary_ok.append(ok)
 
-    parities = _crossing_parities(space, barrier, components)
+    parities = _crossing_parities(space, barrier)
     return SeparationReport(tuple(components), tuple(boundary_ok), flat,
                             warnings, parities)
 
 
 def _crossing_parities(space: DiscreteSpace, barrier: frozenset,
-                       components, limit: int = 14) -> dict:
-    """Parity of barrier crossings along one canonical cell path per
-    off-chain vertex pair."""
+                       limit: int = 14) -> dict:
+    """Parity of barrier crossings along one canonical cell path per pair
+    of off-chain vertices that lie in a top cell."""
     k = space.top_dim
     s_verts = {v for cid in barrier for v in cid[1]}
-    off = [v for v in range(space.n_vertices) if v not in s_verts][:limit]
-    comp_of = {}
-    for i, comp in enumerate(components):
-        for cid in comp:
-            comp_of[cid] = i
+    off = [v for v in range(space.n_vertices)
+           if v not in s_verts and space.cells_containing(v, k)][:limit]
 
     def home_cell(v):
         return space.cells_containing(v, k)[0]
@@ -293,16 +290,30 @@ class Removal:
 class ContractionTrace:
     """Removal sequence from a component's boundary down to one cell.
 
-    ``surfaces`` materializes every intermediate closed pseudo-manifold;
-    inverting the trace swaps each removal's face sets and replays the
-    surfaces backwards, which is the expansion witnessing that the
-    component is a single cell up to the recorded moves.
+    The trace stores its first surface and the removals; ``surfaces``
+    replays them into every intermediate closed pseudo-manifold.
+    Inverting the trace swaps each removal's face sets and starts from the
+    last surface, which is the expansion witnessing that the component is
+    a single cell up to the recorded moves.
     """
 
     seed: tuple
+    first_surface: frozenset
     removals: tuple
-    surfaces: tuple
     direction: str = "contract"
+
+    @property
+    def surfaces(self) -> tuple:
+        """The first surface, then the surface after each removal; raises
+        InputError at the first removal that does not apply."""
+        surface = self.first_surface
+        out = [surface]
+        for i, r in enumerate(self.removals):
+            if not r.replaced <= surface or (surface & r.replacement):
+                raise InputError("step %d does not apply to its surface" % i)
+            surface = (surface - r.replaced) | r.replacement
+            out.append(surface)
+        return tuple(out)
 
 
 def _faces(space: DiscreteSpace, cid) -> frozenset:
@@ -326,10 +337,9 @@ def contract_to_cell(space: DiscreteSpace, component, s: CellChain,
     if not _faces(space, seed) & barrier:
         raise InputError("seed has no face on the separating chain")
 
-    surface = frozenset(barrier)
+    surface = barrier
     remaining = set(component)
     removals = []
-    surfaces = [surface]
     while len(remaining) > 1:
         dist = _region_distances(space, seed, remaining)
         touching = [c for c in sorted(remaining)
@@ -361,14 +371,13 @@ def contract_to_cell(space: DiscreteSpace, component, s: CellChain,
                 "intermediate surface is not a closed pseudo-manifold",
                 cell=chosen)
         removals.append(Removal(chosen, patch, replacement))
-        surfaces.append(new_surface)
         surface = new_surface
         remaining.remove(chosen)
     if surface != _faces(space, seed):
         raise UnsupportedConfiguration(
             "contraction ended on a surface other than the seed boundary",
             cell=seed)
-    return ContractionTrace(seed, tuple(removals), tuple(surfaces))
+    return ContractionTrace(seed, barrier, tuple(removals))
 
 
 def _region_distances(space: DiscreteSpace, seed, region: set) -> dict:
@@ -376,11 +385,10 @@ def _region_distances(space: DiscreteSpace, seed, region: set) -> dict:
     queue = deque([seed])
     while queue:
         cur = queue.popleft()
-        for f in space.cells[cur].boundary:
-            for nxt in space.cofaces(f):
-                if nxt in region and nxt not in dist:
-                    dist[nxt] = dist[cur] + 1
-                    queue.append(nxt)
+        for nxt in space.cell_neighbors(cur):
+            if nxt in region and nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                queue.append(nxt)
     return dist
 
 
@@ -389,21 +397,13 @@ def invert_trace(trace: ContractionTrace) -> ContractionTrace:
     flipped = tuple(Removal(r.cell, r.replacement, r.replaced)
                     for r in reversed(trace.removals))
     direction = "expand" if trace.direction == "contract" else "contract"
-    return ContractionTrace(trace.seed, flipped,
-                            tuple(reversed(trace.surfaces)), direction)
+    return ContractionTrace(trace.seed, replay(trace), flipped, direction)
 
 
 def replay(trace: ContractionTrace) -> frozenset:
     """Apply every removal to the first surface; returns the final surface
-    and checks each step against the materialized sequence."""
-    surface = trace.surfaces[0]
-    for i, r in enumerate(trace.removals):
-        if not r.replaced <= surface or (surface & r.replacement):
-            raise InputError("step %d does not apply to its surface" % i)
-        surface = (surface - r.replaced) | r.replacement
-        if surface != trace.surfaces[i + 1]:
-            raise InputError("step %d disagrees with the stored surface" % i)
-    return surface
+    and raises InputError at a step that does not apply."""
+    return trace.surfaces[-1]
 
 
 def verify_contraction_trace(space: DiscreteSpace, component, s: CellChain,
@@ -411,20 +411,25 @@ def verify_contraction_trace(space: DiscreteSpace, component, s: CellChain,
     """Independent re-check of every contraction invariant."""
     report = CheckReport(True)
     barrier = _submanifold_cells(space, s)
-    if trace.surfaces[0] != barrier:
+    if trace.first_surface != barrier:
         report.add("trace does not start at the chain")
     if len(trace.removals) != len(component) - 1:
         report.add("expected %d removals, found %d"
                    % (len(component) - 1, len(trace.removals)))
     if trace.seed in {r.cell for r in trace.removals}:
         report.add("the seed was removed")
+    try:
+        surfaces = trace.surfaces
+    except InputError as exc:
+        report.add(str(exc))
+        return report
     for i, r in enumerate(trace.removals):
-        before, after = trace.surfaces[i], trace.surfaces[i + 1]
+        before, after = surfaces[i], surfaces[i + 1]
         if before.symmetric_difference(after) != _faces(space, r.cell):
             report.add("step %d XorSum is not the removed cell boundary" % i)
         if not is_closed(space, after):
             report.add("surface after step %d is not a closed "
                        "pseudo-manifold" % i)
-    if trace.surfaces[-1] != _faces(space, trace.seed):
+    if surfaces[-1] != _faces(space, trace.seed):
         report.add("final surface is not the seed boundary")
     return report

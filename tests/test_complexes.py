@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -40,6 +41,15 @@ def test_well_attachment_enforced():
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 2), (2, 5), (5, 0)]
     with pytest.raises(InputError):
         DiscreteSpace(6, edges, {2: [(0, 1, 2, 3), (0, 4, 2, 5)]})
+    # (0,1,2,3) meets (1,3,4,5) in {1, 3} and (0,2,6,7) in {0, 2}; the
+    # error names the first of the two bad pairs in all-pairs order
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (3, 4), (3, 5), (1, 5),
+             (0, 6), (2, 6), (2, 7), (0, 7)]
+    first = re.escape("cells (2, (0, 1, 2, 3)) and (2, (0, 2, 6, 7)) are "
+                      "not well-attached")
+    with pytest.raises(InputError, match=first):
+        DiscreteSpace(8, edges, {2: [(1, 3, 4, 5), (0, 1, 2, 3),
+                                     (0, 2, 6, 7)]})
 
 
 def test_generated_counts(octa, simplex3, simplex4, cube3, cube4):

@@ -1,0 +1,175 @@
+"""Golden outputs of the five CLI commands on generated inputs.
+
+Each command runs in process in a fresh directory.  Its stdout, stderr,
+exit code and every file it writes are hashed with SHA-256 into one
+digest per command, compared with the digests recorded below.  A
+refactor that changes any byte of any output fails here.
+
+To re-record after an intended output change, run this file as a script
+from the repository root with ``src`` on ``PYTHONPATH``; it prints the
+table.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+
+import pytest
+
+from celltopo import cli
+from celltopo import generators as gen
+from celltopo import io as dio
+
+
+def _cases():
+    octa = gen.octahedron()
+    s4 = gen.simplex_boundary(4)
+    s5 = gen.simplex_boundary(5)
+    torus = gen.torus_grid(4, 4)
+    cube = gen.cube_boundary(3)
+    return {
+        "octahedron": (octa, "equator", gen.equator(octa, "octahedron")),
+        "simplex4": (s4, "sphere", gen.equator(s4, "simplex-boundary")),
+        "simplex5": (s5, "sphere", gen.equator(s5, "simplex-boundary")),
+        "torus44": (torus, "meridian", gen.torus_meridian(torus, 4)),
+        "cube3": (cube, "band", gen.equator(cube, "cube-boundary")),
+    }
+
+
+COMMANDS = {
+    "check": ["check", "in.dsc"],
+    "flat": ["flat", "in.dsc", "--chain", "{chain}"],
+    "separate": ["separate", "in.dsc", "--chain", "{chain}", "--out",
+                 "sep.txt"],
+    "contract": ["contract", "in.dsc", "--chain", "{chain}", "--out",
+                 "trace.dsctrace"],
+    "export": ["export", "in.dsc", "--out", "complex"],
+    "export-trace": ["export", "trace.dsctrace", "--out", "trace"],
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv) -> str:
+    """One command's digest over its outputs and the files it wrote."""
+    before = set(os.listdir("."))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    record = ["stdout " + _sha(out.getvalue().encode()),
+              "stderr " + _sha(err.getvalue().encode()),
+              "exit %r" % (code,)]
+    for name in sorted(os.listdir(".")):
+        if name not in before:
+            with open(name, "rb") as fh:
+                record.append("file %s %s" % (name, _sha(fh.read())))
+    return _sha("\n".join(record).encode())
+
+
+def _digests(name: str) -> dict:
+    space, chain_name, chain = _cases()[name]
+    with open("in.dsc", "w", encoding="utf-8") as fh:
+        fh.write(dio.save_complex(space, {chain_name: chain}))
+    return {cmd: _run([a.format(chain=chain_name) for a in argv])
+            for cmd, argv in COMMANDS.items()}
+
+
+GOLDEN = {
+    'cube3': {
+        'check':
+            '8b696f664e549e8550df261731653c1c7528d26908f7e3462b516bbce068707b',
+        'flat':
+            '4ea57f263a1543063c23b4b93d1f00910ee5b7190876b8be758a2be7d13b02ae',
+        'separate':
+            '601f0fb03d8d5c20440a2fae641954c60f6f030002c25bb4511ecd7d186b71c1',
+        'contract':
+            '96e5af973d33b92b5a3e7281121d0f1b2b654f6c7f41937183ad8e0f6ff21a6a',
+        'export':
+            'c2771912216978006f9631341c22627bcb33fe73b4c2a984698ddf5df55b0801',
+        'export-trace':
+            '3c1037601155e1d31e0abb907b8d9efd577e191d862d746ab9f309b9b2bf2dab',
+    },
+    'octahedron': {
+        'check':
+            '9d30010f6ca748622074aca0159cd5888fac732468947ff6446970be50192c44',
+        'flat':
+            'e5b628119a7838c26da7f47bf8aa81898bea731a8085c22ca05b808420f98965',
+        'separate':
+            'c53cb73d43fd9644d48bfe9d31bcd2e6e94ec81d898cc740bee5d1a8d5ba91bc',
+        'contract':
+            '705d3ff30a53dafdc4fd84bd210c07cebc614f3eb4ff607350cb411b27cf6a67',
+        'export':
+            '6a41c5d8b9f2bdd417c18aef9b23f57870640ecff0813e6533d6268f8a8a2a6e',
+        'export-trace':
+            '687bce9f851c09186cc7488a94edcd03425e83b73823d1b523ab29fbbb220a1c',
+    },
+    'simplex4': {
+        'check':
+            '3eb8158698caf633eccf52f3d4d8afe781bea9066d6eb2c5053d19a3cf1f2671',
+        'flat':
+            'bceed3e624f99f58ac749affdaa3d8c6135a28fa72431379121eaa522009155f',
+        'separate':
+            '1fa17750ea1b1d819d61eef66e036b4916f5a96a43b715e0491f61fd4c64b8c2',
+        'contract':
+            '23162c96b3ca1e20904224768df51b1aea6f922e26bc85c4702ef6c66a95c0e8',
+        'export':
+            '08d1aa95016ba8ebfad78fd32f8de98209209192182d7000b800457613b83434',
+        'export-trace':
+            'a769f1c2d5edd1ac674ee682e42afaa71b547d4599ad97b0b759da53aa12ea3a',
+    },
+    'simplex5': {
+        'check':
+            'c29413cc84d33593166ba9de61174359f5d4cf3ee808952baa4258e3d0e4a756',
+        'flat':
+            '16e83d1ca89ec0d6a061ac75adb53ffa154b80d8151ce15dbe0eceba582f92dd',
+        'separate':
+            '6ba3685571819c8b46e4d06438f6f80168293eaf3b420a9396520ef76251a073',
+        'contract':
+            'af28e99c606564398f2e286f1e2b7643871f0e397aa43d29dc5fee56d0834c9d',
+        'export':
+            '02f388ca4431a42153a2bc635d531fdf7d85f3aa5ba6a2b4745c5edbf9780649',
+        'export-trace':
+            '9e27999d7c3fc86747ef83867c8d47291899e38134fd9d8ac3d8e37a437fcbe1',
+    },
+    'torus44': {
+        'check':
+            '787e7968e4db18306f12f68e7b3c38afae4e8eb15a2167acbc04b20b9fc8adfa',
+        'flat':
+            'b81becdb6500463dec8ec2483a93d18ec9615ae01235edc88680a5aff0d55053',
+        'separate':
+            'bf6394cf3e6948770b61ce1b3a5edfc22e32fbb2b0526c3efd852093c6c23366',
+        'contract':
+            '5d3972239b60779f94171cd962e16f3786072d712eb833632a5f876e1dfe0559',
+        'export':
+            '6550b4efb17d5b13f7f57bef274f1a2325065cc08844dc296878a861051929fc',
+        'export-trace':
+            '3c1037601155e1d31e0abb907b8d9efd577e191d862d746ab9f309b9b2bf2dab',
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_outputs_match_recorded_digests(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _digests(name) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+    table = {}
+    for case in sorted(GOLDEN):
+        with tempfile.TemporaryDirectory() as tmp:
+            cwd = os.getcwd()
+            os.chdir(tmp)
+            try:
+                table[case] = _digests(case)
+            finally:
+                os.chdir(cwd)
+    for case, digests in table.items():
+        print("    %r: {" % case)
+        for cmd, digest in digests.items():
+            print("        %r:\n            %r," % (cmd, digest))
+        print("    },")

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from celltopo import generators as gen
+from celltopo import io as dio
 from celltopo.complexes import (DiscreteSpace, closure, edge_key,
                                 face_components, face_counts, is_closed,
                                 walk)
@@ -195,3 +196,50 @@ def test_split_two_cell_boundary_rejected():
     with pytest.raises(InputError, match="simple closed cycle"):
         DiscreteSpace(6, edges, {2: [tuple(range(6))]})
 
+
+
+# -- the incidence index ------------------------------------------------------
+
+
+# generated spaces, whose boundaries the constructor derives
+DERIVED = dict(SPACES, **{
+    "simplex5": gen.simplex_boundary(5),
+    "torus35": gen.torus_grid(3, 5),
+    "strip": gen.strip_grid(3, 4),
+    "strip-tri": gen.strip_grid(3, 3, triangulated=True),
+})
+
+# the same spaces saved as DSC and loaded back, with explicit boundaries
+LOADED = {name: dio.load_complex(dio.save_complex(space))[0]
+          for name, space in DERIVED.items()}
+
+INDEXED = dict(DERIVED, **{name + "-dsc": s for name, s in LOADED.items()})
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+def test_index_matches_brute_force_scans(name):
+    space = INDEXED[name]
+    cells = sorted(space.cells)
+    bnd = {c: set(space.cells[c].boundary) for c in cells}
+    for d in range(-1, space.top_dim + 2):
+        assert space.cells_of_dim(d) == [c for c in cells if c[0] == d]
+    for v in range(space.n_vertices):
+        assert space.cells_containing(v) == [c for c in cells if v in c[1]]
+        for d in range(space.top_dim + 1):
+            assert space.cells_containing(v, d) == \
+                [c for c in cells if c[0] == d and v in c[1]]
+        assert space.vertex_neighbors(v) == tuple(sorted(
+            w for e in space.edges if v in e for w in e if w != v))
+    for c in cells:
+        assert space.cofaces(c) == [x for x in cells if c in bnd[x]]
+        assert space.cell_neighbors(c) == tuple(
+            x for x in cells if x[0] == c[0] and x != c and bnd[x] & bnd[c])
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED))
+def test_derived_boundaries_survive_round_trip(name):
+    space, loaded = DERIVED[name], LOADED[name]
+    assert set(loaded.cells) == set(space.cells)
+    for cid, cell in space.cells.items():
+        assert loaded.cells[cid].boundary == cell.boundary
+        assert loaded.cells[cid].loop == cell.loop

@@ -153,6 +153,23 @@ def test_cmd_flat(octa_file, capsys):
     assert "collar sheet 1: 0" in out and "collar sheet 2: 5" in out
 
 
+def test_cmd_flat_runs_local_flatness_once(octa_file, monkeypatch, capsys):
+    from celltopo import flatness
+    calls = []
+    real = flatness.is_locally_flat
+
+    def counted(space, chain):
+        calls.append(chain)
+        return real(space, chain)
+
+    monkeypatch.setattr(flatness, "is_locally_flat", counted)
+    monkeypatch.setattr(cli, "is_locally_flat", counted)
+    assert cli.main(["flat", octa_file, "--chain", "equator"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == \
+        "locally flat\ncollar sheet 1: 0\ncollar sheet 2: 5\n"
+
+
 def test_cmd_flat_negative(tmp_path, capsys):
     space, curve = gen.figure_case("fig6a")
     path = tmp_path / "fig6a.dsc"
@@ -225,6 +242,22 @@ def test_cmd_contract(simplex4_file, tmp_path, capsys):
     assert "3 removals" in capsys.readouterr().out
     space, chains, trace = dio.load_trace(out.read_text())
     assert len(trace.removals) == 3
+
+
+def test_isolated_vertex_is_left_out_of_parities(octa_file, tmp_path,
+                                                 capsys):
+    # a seventh vertex in no edge or cell: regular, and no traceback
+    path = tmp_path / "octa7.dsc"
+    text = open(octa_file).read()
+    path.write_text(text.replace("vertices 6\n", "vertices 7\n"))
+    assert cli.main(["separate", octa_file, "--chain", "equator"]) == 0
+    six = capsys.readouterr().out
+    assert cli.main(["separate", str(path), "--chain", "equator"]) == 0
+    seven = capsys.readouterr().out
+    assert [ln for ln in seven.splitlines() if ln.startswith("component")] \
+        == [ln for ln in six.splitlines() if ln.startswith("component")]
+    assert cli.main(["contract", str(path), "--chain", "equator"]) == 0
+    assert "3 removals" in capsys.readouterr().out
 
 
 def test_cmd_contract_single_cell(simplex4_file, capsys):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -8,9 +9,10 @@ from celltopo.deformation import (MOVE_SIDE_GRADUAL, DeformationTrace,
                                   are_side_gradually_varied)
 from celltopo.errors import InputError, UnsupportedConfiguration
 from celltopo.flatness import is_locally_flat
-from celltopo.separation import (components_of_complement, contract_to_cell,
-                                 first_crossing, flatten_path, invert_trace,
-                                 replay, verify_contraction_trace)
+from celltopo.separation import (Removal, components_of_complement,
+                                 contract_to_cell, first_crossing,
+                                 flatten_path, invert_trace, replay,
+                                 verify_contraction_trace)
 
 
 def enumerate_cell_paths(space, start, goal):
@@ -273,6 +275,20 @@ def test_contract_unsupported_on_torus(torus44):
 
 
 # -- inversion ---------------------------------------------------------------------
+
+
+def test_verify_reports_a_removal_that_does_not_apply(simplex4):
+    sphere = gen.equator(simplex4, "simplex-boundary")
+    report = components_of_complement(simplex4, sphere)
+    big = next(c for c in report.components if len(c) == 4)
+    trace = contract_to_cell(simplex4, big, sphere, sorted(big)[0])
+    r = trace.removals[0]
+    bad = replace(trace, removals=(Removal(r.cell, r.replacement, r.replaced),)
+                  + trace.removals[1:])
+    check = verify_contraction_trace(simplex4, big, sphere, bad)
+    assert check.problems == ["step 0 does not apply to its surface"]
+    with pytest.raises(InputError, match="step 0 does not apply"):
+        replay(bad)
 
 
 def test_invert_empty(simplex4):
