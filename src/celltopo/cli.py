@@ -222,10 +222,11 @@ def cmd_export(args) -> int:
     log = ["snapshots %d" % len(snapshots)]
     if args.format == "off":
         coords = dio.spectral_layout(space)
-        for i, cells in enumerate(snapshots):
+        docs = dio.off_snapshots(space, snapshots, coords)
+        for i, doc in enumerate(docs):
             path = "%s_step%03d.off" % (prefix, i)
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(dio.off_snapshot(space, cells, coords))
+                fh.write(doc)
             written.append(path)
     for i, cells in enumerate(snapshots):
         log.append("step %d cells %d: %s"

@@ -7,6 +7,11 @@ distance exactly 2 and every off-chain vertex mediating such a length-2
 cell path is a focal point, meaning its link meets C in one connected arc
 through both vertices.  A collar is the pair of distance-1 sheets flanking
 a flat chain; flatness and collar existence decide each other.
+
+The verdict only asks whether a distance is 1, 2 or more, so no distance
+is computed in full: each chain vertex gets one radius-2 ball per level
+(its vertices at distance 1 or 2), only the chain vertices inside a ball
+are checked as partners, and each mediator's link is built once per check.
 """
 
 from __future__ import annotations
@@ -18,26 +23,25 @@ from .complexes import (CellChain, CheckReport, DiscreteSpace, closure,
                         edge_key, face_components, face_counts, link,
                         partial_graph, walk)
 from .errors import InputError, PreconditionError
-from .metrics import k_cell_distance
 
 
-def _intersection_is_arc(space: DiscreteSpace, mediator: int,
-                         chain_verts: frozenset, chain_edges: frozenset,
-                         p: int, q: int) -> bool:
-    """Does link(mediator) meet the chain in one connected piece with at
-    least one edge, containing both p and q?
+def _ball(space: DiscreteSpace, p: int, i: int) -> dict:
+    """The vertices at i-cell distance 1 or 2 from ``p``, with that distance.
 
-    A connected subgraph of a simple curve is an arc, or the whole curve
-    when the curve is closed and fully seen; both count here.
+    Every vertex left out is at distance 3 or more, or unreachable.
     """
-    lk = link(space, {mediator})
-    ivs = sorted(v for v in lk.vertices() if v in chain_verts)
-    ies = sorted(e for e in lk.edges() if e in chain_edges)
-    if not ies or p not in ivs or q not in ivs:
-        return False
-    first = face_components(space, [(1, e) for e in ies])[0]
-    reached = {v for _, e in first for v in e}
-    return all(v in reached for v in ivs)
+    if i == 1:
+        near = space.vertex_neighbors(p)
+        far = {w for v in near for w in space.vertex_neighbors(v)}
+    else:
+        cells = space.cells_containing(p, i)
+        near = {v for c in cells for v in c[1]}
+        far = {v for c in cells for n in space.cell_neighbors(c)
+               for v in n[1]}
+    ball = dict.fromkeys(far, 2)
+    ball.update(dict.fromkeys(near, 1))
+    ball.pop(p, None)
+    return ball
 
 
 def _level2_mediators(space: DiscreteSpace, p: int, q: int, i: int):
@@ -47,43 +51,33 @@ def _level2_mediators(space: DiscreteSpace, p: int, q: int, i: int):
         np_ = set(space.vertex_neighbors(p))
         meds.update(w for w in space.vertex_neighbors(q) if w in np_)
         return meds
-    cells_p = space.cells_containing(p, i)
-    cells_q = space.cells_containing(q, i)
-    for a in cells_p:
+    for a in space.cells_containing(p, i):
         ba = set(space.cells[a].boundary)
-        for b in cells_q:
-            if a == b:
-                continue
-            for f in space.cells[b].boundary:
-                if f in ba:
-                    meds.update(f[1])
+        for b in space.cell_neighbors(a):
+            if q in b[1]:
+                for f in space.cells[b].boundary:
+                    if f in ba:
+                        meds.update(f[1])
     return meds
 
 
-def _pair_violation(space: DiscreteSpace, chain_verts, chain_edges,
-                    p: int, q: int, levels) -> str | None:
-    """None when the pair satisfies one of the flatness conditions,
-    otherwise a description of the failure."""
-    if edge_key(p, q) in chain_edges:
+def _link_on_chain(space: DiscreteSpace, mediator: int,
+                   chain_verts: frozenset, chain_edges: frozenset):
+    """The chain vertices of link(mediator) when the link meets the chain in
+    one connected piece with at least one edge, otherwise None.
+
+    A connected subgraph of a simple curve is an arc, or the whole curve
+    when the curve is closed and fully seen; both count here.  The mediator
+    is a focal point for a pair when both lie in the returned set.
+    """
+    lk = link(space, {mediator})
+    ivs = frozenset(v for v in lk.vertices() if v in chain_verts)
+    ies = sorted(e for e in lk.edges() if e in chain_edges)
+    if not ies:
         return None
-    dists = {i: k_cell_distance(space, p, q, i) for i in levels}
-    if all(d >= 3 for d in dists.values()):
-        return None
-    twos = sorted(i for i, d in dists.items() if d == 2)
-    if not twos:
-        bad = min((i for i, d in dists.items() if d < 3),
-                  key=lambda i: (dists[i], i))
-        return ("pair (%d, %d): %d-cell distance %s without adjacency in "
-                "the chain" % (p, q, bad, dists[bad]))
-    for i in twos:
-        for m in sorted(_level2_mediators(space, p, q, i)):
-            if m in chain_verts:
-                continue
-            if not _intersection_is_arc(space, m, chain_verts, chain_edges,
-                                        p, q):
-                return ("pair (%d, %d): mediator %d at level %d is not a "
-                        "focal point" % (p, q, m, i))
-    return None
+    first = face_components(space, [(1, e) for e in ies])[0]
+    reached = {v for _, e in first for v in e}
+    return ivs if ivs <= reached else None
 
 
 def subset_flatness(space: DiscreteSpace, verts, edges,
@@ -92,16 +86,45 @@ def subset_flatness(space: DiscreteSpace, verts, edges,
 
     The set need not be a connected curve; the flattening construction in
     the separation module checks path-submanifold intersections this way.
+    Only distances below 3 matter, so each vertex p meets its partners q > p
+    in its radius-2 balls, one per level; every other pair is at distance
+    3 or more on every level.  Each mediator's link is read once.
     """
     verts = frozenset(verts)
     edges = frozenset(edges)
     if levels is None:
         levels = tuple(range(1, space.top_dim + 1))
+    for v in verts:
+        space.require_vertex(v)
+    for i in levels:
+        if not 1 <= i <= space.top_dim:
+            raise InputError("level %d outside 1..%d" % (i, space.top_dim))
+    focal: dict = {}
     report = CheckReport(True)
-    for p, q in itertools.combinations(sorted(verts), 2):
-        msg = _pair_violation(space, verts, edges, p, q, levels)
-        if msg is not None:
-            report.add(msg)
+    for p in sorted(verts):
+        balls = {i: _ball(space, p, i) for i in levels}
+        partners = sorted({q for ball in balls.values() for q in ball
+                           if q > p and q in verts})
+        for q in partners:
+            if edge_key(p, q) in edges:
+                continue
+            dists = {i: ball[q] for i, ball in balls.items() if q in ball}
+            twos = sorted(i for i, d in dists.items() if d == 2)
+            if not twos:
+                bad = min(dists, key=lambda i: (dists[i], i))
+                report.add("pair (%d, %d): %d-cell distance %s without "
+                           "adjacency in the chain" % (p, q, bad, dists[bad]))
+                continue
+            for i, m in ((i, m) for i in twos
+                         for m in sorted(_level2_mediators(space, p, q, i))
+                         if m not in verts):
+                if m not in focal:
+                    focal[m] = _link_on_chain(space, m, verts, edges)
+                seen = focal[m]
+                if seen is None or p not in seen or q not in seen:
+                    report.add("pair (%d, %d): mediator %d at level %d is "
+                               "not a focal point" % (p, q, m, i))
+                    break
     return report
 
 

@@ -374,16 +374,25 @@ def off_snapshot(space: DiscreteSpace, cells, coords: np.ndarray) -> str:
     Cells of dimension 1 are written as degenerate two-vertex faces so a
     curve snapshot stays viewable.
     """
-    faces = []
-    for cid in sorted(cells):
-        if cid[0] >= 2:
-            faces.append(space.cells[cid].loop
-                         if space.cells[cid].loop else cid[1])
-        elif cid[0] == 1:
-            faces.append(cid[1])
-    lines = ["OFF", "%d %d 0" % (space.n_vertices, len(faces))]
-    for v in range(space.n_vertices):
-        lines.append("%.6f %.6f %.6f" % tuple(coords[v]))
-    for f in faces:
-        lines.append("%d %s" % (len(f), " ".join(map(str, f))))
-    return "\n".join(lines) + "\n"
+    return next(off_snapshots(space, (cells,), coords))
+
+
+def off_snapshots(space: DiscreteSpace, snapshots, coords: np.ndarray):
+    """One ``off_snapshot`` document per cell set of ``snapshots``, in order.
+
+    The vertex block is the same in every document, so it is formatted once.
+    """
+    vertex_block = "".join("%.6f %.6f %.6f\n" % tuple(coords[v])
+                           for v in range(space.n_vertices))
+    for cells in snapshots:
+        faces = []
+        for cid in sorted(cells):
+            if cid[0] >= 2:
+                faces.append(space.cells[cid].loop
+                             if space.cells[cid].loop else cid[1])
+            elif cid[0] == 1:
+                faces.append(cid[1])
+        yield ("OFF\n%d %d 0\n" % (space.n_vertices, len(faces))
+               + vertex_block
+               + "".join("%d %s\n" % (len(f), " ".join(map(str, f)))
+                         for f in faces))

@@ -69,12 +69,24 @@ def _run(argv) -> str:
     return _sha("\n".join(record).encode())
 
 
+FIGURE_IDS = ("fig3a", "fig3b", "fig3c", "fig4", "fig6a", "fig6b")
+
+
 def _digests(name: str) -> dict:
     space, chain_name, chain = _cases()[name]
     with open("in.dsc", "w", encoding="utf-8") as fh:
         fh.write(dio.save_complex(space, {chain_name: chain}))
     return {cmd: _run([a.format(chain=chain_name) for a in argv])
             for cmd, argv in COMMANDS.items()}
+
+
+def _flat_digest(case_id: str) -> str:
+    """Digest of ``flat`` on a figure case: a non-flat report, with its
+    distance and mediator messages."""
+    space, curve = gen.figure_case(case_id)
+    with open("in.dsc", "w", encoding="utf-8") as fh:
+        fh.write(dio.save_complex(space, {"curve": curve}))
+    return _run(["flat", "in.dsc", "--chain", "curve"])
 
 
 GOLDEN = {
@@ -151,25 +163,54 @@ GOLDEN = {
 }
 
 
+FLAT_GOLDEN = {
+    'fig3a':
+        'f2ff4cec80dc993d88e6031f22e942f7627a186ed54caaebe7f4de1f37c61a97',
+    'fig3b':
+        'c75086a016e885c0908558c64978a88612cd7d8bb8436a6fe48f65f1118525fb',
+    'fig3c':
+        '00f60b8bf908cd1681df5daff8be680130c34f6b91b823700b923ff4a3f34803',
+    'fig4':
+        '71c9ab8adfc86064c2a5043146348ab5844b74ddc21e8a32fc96ca374656368a',
+    'fig6a':
+        '0e53cc1db0f653e357dc0dd6010d84a885ac5984998031234a006096257ad854',
+    'fig6b':
+        '4a0a9cd740087d5ace4d5924a851ac2462f192754175a4e15310f144c79e7f4e',
+}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_outputs_match_recorded_digests(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _digests(name) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("case_id", FIGURE_IDS)
+def test_flat_reports_match_recorded_digests(case_id, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _flat_digest(case_id) == FLAT_GOLDEN[case_id]
+
+
 if __name__ == "__main__":
     import tempfile
-    table = {}
-    for case in sorted(GOLDEN):
+
+    def _in_tmp(fn, arg):
         with tempfile.TemporaryDirectory() as tmp:
             cwd = os.getcwd()
             os.chdir(tmp)
             try:
-                table[case] = _digests(case)
+                return fn(arg)
             finally:
                 os.chdir(cwd)
-    for case, digests in table.items():
+
+    print("GOLDEN = {")
+    for case in sorted(GOLDEN):
         print("    %r: {" % case)
-        for cmd, digest in digests.items():
+        for cmd, digest in _in_tmp(_digests, case).items():
             print("        %r:\n            %r," % (cmd, digest))
         print("    },")
+    print("}")
+    print("FLAT_GOLDEN = {")
+    for case in FIGURE_IDS:
+        print("    %r:\n        %r," % (case, _in_tmp(_flat_digest, case)))
+    print("}")
