@@ -575,8 +575,9 @@ def check_regular(space: DiscreteSpace, k: int | None = None) -> CheckReport:
         # connectivity left to check
         return report
     for v in range(space.n_vertices):
-        lk = link(space, {v})
-        cells = lk.by_dim.get(k - 1, ())
+        # the link's (k-1)-cells: the faces of the k-cells at v avoiding v
+        cells = {f for cid in space.cells_containing(v, k)
+                 for f in space.cells[cid].boundary if v not in f[1]}
         if not cells:
             if space.cells_containing(v, 1):
                 report.add("clause 4: link of vertex %d has no %d-cells"

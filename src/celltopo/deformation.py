@@ -5,9 +5,11 @@ moving every point at most one cell: every non-end vertex of one lies on
 the other or shares a 2-cell (spanned by the two curves' vertices) with
 it, and every non-end edge not shared lies in such a 2-cell that carries
 an edge of the other curve.  A gradually varied move decomposes into
-single-cell moves, each the XorSum with one 2-cell boundary.  Side
-variation additionally forbids cross-overs, which are detected through
-orientation tags in the links of shared vertices.
+single-cell moves, each the XorSum with one 2-cell boundary.  A move
+needs an edge of the cell on the curve, so the move searches try only the
+cofaces of the current curve's edges and skip every other cell of their
+pool.  Side variation additionally forbids cross-overs, which are
+detected through orientation tags in the links of shared vertices.
 """
 
 from __future__ import annotations
@@ -194,17 +196,35 @@ def single_cell_move(space: DiscreteSpace, chain: CellChain, cell):
     return edges_to_curve(space, new_edges, like=chain)
 
 
+def _cell_moves(space: DiscreteSpace, chain: CellChain, pool=None):
+    """Yield ``(cell, next curve)`` for each cell of ``pool`` (every 2-cell,
+    ascending, when None) whose single-cell move applies, in pool order.
+
+    A move needs an edge of the cell on the curve, so only the cofaces of
+    the curve's edges are tried; ``single_cell_move`` rejects every other
+    cell.
+    """
+    touching = {cid for e in _all_edges(chain)
+                for cid in space.cofaces((1, e))}
+    for cell in sorted(touching) if pool is None else pool:
+        if cell in touching:
+            nxt = single_cell_move(space, chain, cell)
+            if nxt is not None:
+                yield cell, nxt
+
+
 def bfs_moves(space: DiscreteSpace, start: CellChain, pool, accept,
               max_depth: int | None = None):
     """Breadth-first search over single-cell moves from ``start``.
 
     Each level moves every curve of the level before by each cell of
-    ``pool`` in order, and drops the curves whose edge set was met
-    before.  ``accept(steps, moves)`` judges each new curve, the last of
-    ``steps`` (which begin with ``start``; ``moves`` holds the one-cell
-    sets): False drops it, None keeps it for the next level, and any
-    other value ends the search as its result.  Returns None once
-    ``max_depth`` levels are done or a level comes out empty.
+    ``pool`` in order, skipping the cells with no edge on the curve, and
+    drops the curves whose edge set was met before.  ``accept(steps,
+    moves)`` judges each new curve, the last of ``steps`` (which begin
+    with ``start``; ``moves`` holds the one-cell sets): False drops it,
+    None keeps it for the next level, and any other value ends the search
+    as its result.  Returns None once ``max_depth`` levels are done or a
+    level comes out empty.
     """
     seen = {frozenset(_all_edges(start))}
     frontier = [((start,), ())]
@@ -213,10 +233,7 @@ def bfs_moves(space: DiscreteSpace, start: CellChain, pool, accept,
         depth += 1
         level = []
         for steps, moves in frontier:
-            for cell in pool:
-                nxt = single_cell_move(space, steps[-1], cell)
-                if nxt is None:
-                    continue
+            for cell, nxt in _cell_moves(space, steps[-1], pool):
                 key = frozenset(_all_edges(nxt))
                 if key in seen:
                     continue
@@ -625,9 +642,8 @@ def _contract_dfs(space: DiscreteSpace, cur: CellChain, p: int, depth: int,
         return None
     visited.add(key)
     cur_vs = cur.vertex_set()
-    for cid in space.cells_of_dim(2):
-        nxt = single_cell_move(space, cur, cid)
-        if nxt is None or not nxt.closed:
+    for cid, nxt in _cell_moves(space, cur):
+        if not nxt.closed:
             continue
         vs = nxt.vertex_set()
         if p not in vs or vs & banned:

@@ -93,54 +93,6 @@ def save_trace(space: DiscreteSpace, s: CellChain,
     return "\n".join(lines) + "\n"
 
 
-def save_deformation(space: DiscreteSpace, trace, chains: dict | None = None) -> str:
-    """Serialize a curve deformation trace with its complex embedded."""
-    body = save_complex(space, chains)
-    cell_index = {cid: i for i, cid in enumerate(space.cells_of_dim(2))}
-    lines = ["DSCPATHS %d" % FORMAT_VERSION, body.rstrip("\n"),
-             "paths %s %d" % (trace.kind, len(trace.steps))]
-    for step in trace.steps:
-        lines.append("step %d %s" % (1 if step.closed else 0,
-                                     " ".join(map(str, step.verts))))
-    for move in trace.moves:
-        lines.append("move %s" % " ".join(
-            str(cell_index[c]) for c in sorted(move)))
-    return "\n".join(lines) + "\n"
-
-
-def load_deformation(text: str):
-    """Parse a DSCPATHS document: (space, chains, DeformationTrace)."""
-    from .deformation import DeformationTrace
-    reader = _Reader(text)
-    head = _expect(reader, "DSCPATHS")
-    if head != [str(FORMAT_VERSION)]:
-        raise ParseError("unsupported paths version %r" % (head,),
-                         reader.line_no)
-    space, chains = _load_complex_body(reader)
-    parts = _expect(reader, "paths", 2)
-    kind = parts[0]
-    count = _int(parts[1], reader, "path count")
-    two_cells = space.cells_of_dim(2)
-    steps = []
-    for _ in range(count):
-        parts = _expect(reader, "step", 1)
-        closed = bool(_int(parts[0], reader, "closed flag", 2))
-        verts = [_int(v, reader, "vertex", space.n_vertices)
-                 for v in parts[1:]]
-        if len(verts) == 1:
-            steps.append(CellChain(1, (), ordered=True, closed=False,
-                                   verts=(verts[0],)))
-        else:
-            steps.append(CellChain.path(space, verts, closed=closed))
-    moves = []
-    for _ in range(max(count - 1, 0)):
-        parts = _expect(reader, "move")
-        moves.append(frozenset(
-            two_cells[_int(i, reader, "2-cell index", len(two_cells))]
-            for i in parts))
-    return space, chains, DeformationTrace(tuple(steps), tuple(moves), kind)
-
-
 # -- loading -----------------------------------------------------------------
 
 

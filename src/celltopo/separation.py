@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from .complexes import (CellChain, CheckReport, DiscreteSpace, check_regular,
                         closure, edge_key, face_components, is_closed)
 from .deformation import (MOVE_SIDE_GRADUAL, DeformationTrace, _all_edges,
-                          are_side_gradually_varied, bfs_moves,
-                          realizing_cells, single_cell_move)
+                          _cell_moves, are_side_gradually_varied, bfs_moves,
+                          realizing_cells)
 from .errors import (BudgetExhausted, InputError, PreconditionError,
                      UnsupportedConfiguration)
 from .flatness import is_locally_flat, subset_flatness
@@ -196,9 +196,8 @@ def flatten_path(space: DiscreteSpace, s: CellChain, p_i: CellChain,
                                   state=cur)
         budget -= 1
         best = None
-        for cell in s_faces:
-            nxt = single_cell_move(space, cur, cell)
-            if nxt is None or entry not in nxt.verts:
+        for cell, nxt in _cell_moves(space, cur, s_faces):
+            if entry not in nxt.verts:
                 continue
             rep = x_report(nxt)
             nv, _ = _intersection_with(space, nxt, s_verts, s_edges)

@@ -249,6 +249,38 @@ def test_check_regular_vertex_glued():
     assert any("clause 1" in p for p in report.problems)
 
 
+def _glued_at_vertex(k: int, tail: tuple):
+    """Two boundaries of the k-simplex sharing only vertex 0, plus the
+    dangling edge ``tail``."""
+    n = k + 2
+    tops = [c for vs in (range(n), [0, *range(n, 2 * n - 1)])
+            for c in itertools.combinations(vs, k + 1)]
+    cells = {k: tops}
+    for d in range(k - 1, 1, -1):
+        cells[d] = sorted({f for c in cells[d + 1]
+                           for f in itertools.combinations(c, d + 1)})
+    edges = sorted({e for c in tops for e in itertools.combinations(c, 2)}
+                   | {tail})
+    return DiscreteSpace(2 * n, edges, cells)
+
+
+@pytest.mark.parametrize("k,tail,problems", [
+    (2, (6, 7), ["clause 2: 1-cell (1, (6, 7)) lies in 0 2-cells",
+                 "clause 1: 2-cells are not (k-1)-connected (4 of 8 "
+                 "reachable)",
+                 "clause 4: link of vertex 0 is disconnected",
+                 "clause 4: link of vertex 7 has no 1-cells"]),
+    (3, (1, 9), ["clause 1: 3-cells are not (k-1)-connected (5 of 10 "
+                 "reachable)",
+                 "clause 4: link of vertex 0 is disconnected",
+                 "clause 4: link of vertex 9 has no 2-cells"]),
+])
+def test_check_regular_clause_4(k, tail, problems):
+    # the glued vertex has a link in two pieces; the tail's far end lies in
+    # no top cell, so its link has no cells at all
+    assert check_regular(_glued_at_vertex(k, tail)).problems == problems
+
+
 def test_check_regular_fat_edge():
     space = DiscreteSpace(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2),
                               (1, 3), (1, 4)],

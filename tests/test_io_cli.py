@@ -70,17 +70,6 @@ def test_trace_round_trip(simplex4):
     assert trace2.removals == trace.removals
 
 
-def test_deformation_trace_round_trip(octa):
-    from celltopo.deformation import search_contraction
-    eq = gen.equator(octa, "octahedron")
-    trace = search_contraction(octa, eq, 1, 8)
-    text = dio.save_deformation(octa, trace)
-    space2, _, trace2 = dio.load_deformation(text)
-    assert dio.save_deformation(space2, trace2) == text
-    assert [s.verts for s in trace2.steps] == [s.verts for s in trace.steps]
-    assert trace2.moves == trace.moves
-
-
 def test_parse_error_carries_line(octa):
     text = dio.save_complex(octa)
     broken = "\n".join(text.splitlines()[:10])
