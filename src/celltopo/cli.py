@@ -228,10 +228,11 @@ def cmd_export(args) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(doc)
             written.append(path)
+    token = {c: str(c) for c in set().union(*snapshots)}
     for i, cells in enumerate(snapshots):
         log.append("step %d cells %d: %s"
                    % (i, len(cells),
-                      " ".join(str(c) for c in sorted(cells))))
+                      " ".join(token[c] for c in sorted(cells))))
     if trace is not None:
         for i, r in enumerate(trace.removals):
             log.append("removal %d: %s" % (i, (r.cell,)))

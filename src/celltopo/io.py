@@ -332,19 +332,20 @@ def off_snapshot(space: DiscreteSpace, cells, coords: np.ndarray) -> str:
 def off_snapshots(space: DiscreteSpace, snapshots, coords: np.ndarray):
     """One ``off_snapshot`` document per cell set of ``snapshots``, in order.
 
-    The vertex block is the same in every document, so it is formatted once.
+    The vertex block is the same in every document, so it is formatted
+    once, and so is each cell's face line.
     """
     vertex_block = "".join("%.6f %.6f %.6f\n" % tuple(coords[v])
                            for v in range(space.n_vertices))
+    line_of: dict = {}
     for cells in snapshots:
         faces = []
         for cid in sorted(cells):
-            if cid[0] >= 2:
-                faces.append(space.cells[cid].loop
-                             if space.cells[cid].loop else cid[1])
-            elif cid[0] == 1:
-                faces.append(cid[1])
+            if cid not in line_of:
+                loop = space.cells[cid].loop if cid[0] >= 2 else None
+                f = loop or cid[1]
+                line_of[cid] = "%d %s\n" % (len(f), " ".join(map(str, f)))
+            if cid[0] >= 1:
+                faces.append(line_of[cid])
         yield ("OFF\n%d %d 0\n" % (space.n_vertices, len(faces))
-               + vertex_block
-               + "".join("%d %s\n" % (len(f), " ".join(map(str, f)))
-                         for f in faces))
+               + vertex_block + "".join(faces))

@@ -10,6 +10,7 @@ boundary and the whole sequence replays backwards as an expansion.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -305,14 +306,33 @@ class ContractionTrace:
     def surfaces(self) -> tuple:
         """The first surface, then the surface after each removal; raises
         InputError at the first removal that does not apply."""
-        surface = self.first_surface
-        out = [surface]
-        for i, r in enumerate(self.removals):
-            if not r.replaced <= surface or (surface & r.replacement):
-                raise InputError("step %d does not apply to its surface" % i)
-            surface = (surface - r.replaced) | r.replacement
-            out.append(surface)
-        return tuple(out)
+        surface = set(self.first_surface)
+        return (self.first_surface,) + tuple(
+            frozenset(surface) for _ in _apply(surface, self.removals))
+
+
+def _apply(surface: set, removals):
+    """Apply each removal to ``surface`` in place and yield it with its
+    index; raises InputError at the first that does not apply."""
+    for i, r in enumerate(removals):
+        if not r.replaced <= surface or not surface.isdisjoint(r.replacement):
+            raise InputError("step %d does not apply to its surface" % i)
+        surface -= r.replaced
+        surface |= r.replacement
+        yield i, r
+
+
+def _recount(space: DiscreteSpace, count: dict, removed, added) -> int:
+    """Move a surface's face counts from the cells ``removed`` to ``added``;
+    returns the change in its faces held by neither 0 nor 2 of its cells."""
+    change = 0
+    for cells, by in ((removed, -1), (added, 1)):
+        for cid in cells:
+            for f in space.cells[cid].boundary:
+                old = count.get(f, 0)
+                new = count[f] = old + by
+                change += (new not in (0, 2)) - (old not in (0, 2))
+    return change
 
 
 def _faces(space: DiscreteSpace, cid) -> frozenset:
@@ -327,51 +347,64 @@ def contract_to_cell(space: DiscreteSpace, component, s: CellChain,
     of faces; the patch is swapped for the cell's other faces.  A cell
     whose surface intersection is not such a patch is the configuration
     this construction does not cover, reported as an explicit error.
+
+    The seed distances, a heap of the cells touching the surface and its
+    face counts are kept across removals: a removal costs about the cells
+    at its faces, plus a distance pass if it lengthens one (``_lengthens``).
     """
     component = frozenset(component)
-    k = space.top_dim
     if seed not in component:
         raise InputError("seed %r is not in the component" % (seed,))
     barrier = _submanifold_cells(space, s)
     if not _faces(space, seed) & barrier:
         raise InputError("seed has no face on the separating chain")
 
-    surface = barrier
+    surface, count = set(barrier), {}
+    unpaired = _recount(space, count, (), surface)
     remaining = set(component)
-    removals = []
+    far = len(component) + 1
+    dist = _region_distances(space, seed, remaining)
+    # each remaining non-seed cell touching the surface is queued once,
+    # keyed (-distance, cell); a popped cell that no longer touches is dropped
+    queued, heap, removals, added = set(), [], [], barrier
     while len(remaining) > 1:
-        dist = _region_distances(space, seed, remaining)
-        touching = [c for c in sorted(remaining)
-                    if c != seed and _faces(space, c) & surface]
-        if not touching:
-            raise UnsupportedConfiguration(
-                "no remaining cell touches the surface")
-        order = sorted(touching,
-                       key=lambda c: (-dist.get(c, len(component) + 1), c))
-        chosen = None
-        for cand in order:
-            if len(face_components(space, _faces(space, cand) & surface)) \
-                    == 1:
-                chosen = cand
-                break
+        for c in {c for f in added for c in space.cofaces(f)} - queued:
+            if c in remaining and c != seed:
+                queued.add(c)
+                heapq.heappush(heap, (-dist.get(c, far), c))
+        chosen, passed = None, []
+        while heap and chosen is None:
+            entry = heapq.heappop(heap)
+            patch = _faces(space, entry[1]) & surface
+            if not patch:
+                queued.remove(entry[1])
+            elif len(face_components(space, patch)) == 1:
+                chosen = entry[1]
+            else:
+                passed.append(entry)
+        for entry in passed:
+            heapq.heappush(heap, entry)
         if chosen is None:
+            if not passed:
+                raise UnsupportedConfiguration(
+                    "no remaining cell touches the surface")
             raise UnsupportedConfiguration(
                 "surface intersection of the farthest cell is not a single "
-                "connected patch of faces", cell=order[0])
-        patch = _faces(space, chosen) & surface
-        replacement = _faces(space, chosen) - surface
-        new_surface = (surface - patch) | replacement
-        if surface.symmetric_difference(new_surface) != _faces(space, chosen):
-            raise UnsupportedConfiguration(
-                "step does not realize the cell boundary as a XorSum",
-                cell=chosen)
-        if not is_closed(space, new_surface):
+                "connected patch of faces", cell=passed[0][1])
+        queued.remove(chosen)
+        added = _faces(space, chosen) - surface
+        surface ^= _faces(space, chosen)
+        unpaired += _recount(space, count, patch, added)
+        if not surface or unpaired:
             raise UnsupportedConfiguration(
                 "intermediate surface is not a closed pseudo-manifold",
                 cell=chosen)
-        removals.append(Removal(chosen, patch, replacement))
-        surface = new_surface
+        removals.append(Removal(chosen, patch, added))
         remaining.remove(chosen)
+        if _lengthens(space, dist, chosen):
+            dist = _region_distances(space, seed, remaining)
+            # re-key every queued cell; a sorted list is a valid heap
+            heap = sorted((-dist.get(c, far), c) for c in queued)
     if surface != _faces(space, seed):
         raise UnsupportedConfiguration(
             "contraction ended on a surface other than the seed boundary",
@@ -391,6 +424,17 @@ def _region_distances(space: DiscreteSpace, seed, region: set) -> dict:
     return dist
 
 
+def _lengthens(space: DiscreteSpace, dist: dict, cell) -> bool:
+    """Pop ``cell`` from the seed distances ``dist``; True when the removal
+    lengthens another distance, which is exactly when a neighbour one
+    farther than ``cell`` has no neighbour left at ``cell``'s distance."""
+    d = dist.pop(cell, None)
+    near = space.cell_neighbors
+    return d is not None and any(
+        dist.get(n) == d + 1 and d not in map(dist.get, near(n))
+        for n in near(cell))
+
+
 def invert_trace(trace: ContractionTrace) -> ContractionTrace:
     """The expansion (or re-contraction) obtained by replaying backwards."""
     flipped = tuple(Removal(r.cell, r.replacement, r.replaced)
@@ -402,12 +446,16 @@ def invert_trace(trace: ContractionTrace) -> ContractionTrace:
 def replay(trace: ContractionTrace) -> frozenset:
     """Apply every removal to the first surface; returns the final surface
     and raises InputError at a step that does not apply."""
-    return trace.surfaces[-1]
+    surface = set(trace.first_surface)
+    for _ in _apply(surface, trace.removals):
+        pass
+    return frozenset(surface)
 
 
 def verify_contraction_trace(space: DiscreteSpace, component, s: CellChain,
                              trace: ContractionTrace) -> CheckReport:
-    """Independent re-check of every contraction invariant."""
+    """Independent re-check of every contraction invariant, in one replay
+    with running face counts."""
     report = CheckReport(True)
     barrier = _submanifold_cells(space, s)
     if trace.first_surface != barrier:
@@ -417,18 +465,24 @@ def verify_contraction_trace(space: DiscreteSpace, component, s: CellChain,
                    % (len(component) - 1, len(trace.removals)))
     if trace.seed in {r.cell for r in trace.removals}:
         report.add("the seed was removed")
+    surface, count = set(trace.first_surface), {}
+    unpaired = _recount(space, count, (), surface)
+    before = len(report.problems)
     try:
-        surfaces = trace.surfaces
+        for i, r in _apply(surface, trace.removals):
+            unpaired += _recount(space, count, r.replaced, r.replacement)
+            # r applied, so the surfaces' XorSum is its two face sets
+            if r.replaced | r.replacement != _faces(space, r.cell):
+                report.add("step %d XorSum is not the removed cell boundary"
+                           % i)
+            if not surface or unpaired:
+                report.add("surface after step %d is not a closed "
+                           "pseudo-manifold" % i)
     except InputError as exc:
+        # a removal that does not apply is the only per-step problem
+        del report.problems[before:]
         report.add(str(exc))
         return report
-    for i, r in enumerate(trace.removals):
-        before, after = surfaces[i], surfaces[i + 1]
-        if before.symmetric_difference(after) != _faces(space, r.cell):
-            report.add("step %d XorSum is not the removed cell boundary" % i)
-        if not is_closed(space, after):
-            report.add("surface after step %d is not a closed "
-                       "pseudo-manifold" % i)
-    if surfaces[-1] != _faces(space, trace.seed):
+    if surface != _faces(space, trace.seed):
         report.add("final surface is not the seed boundary")
     return report

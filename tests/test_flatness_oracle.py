@@ -25,32 +25,31 @@ from celltopo.flatness import _ball, is_locally_flat, subset_flatness
 from celltopo.metrics import k_cell_distance
 
 
-def lattice_sphere(n: int):
-    """The quad 2-sphere bounding [0, n]^3 and its equator ring at
-    z = n // 2."""
-    points = [p for p in itertools.product(range(n + 1), repeat=3)
+def lattice_sphere(n: int, d: int = 3):
+    """The quad (d-1)-sphere bounding [0, n]^d and its equator at last
+    coordinate n // 2: a ring of vertices for d = 3, a chain of squares
+    for d = 4."""
+    points = [p for p in itertools.product(range(n + 1), repeat=d)
               if 0 in p or n in p]
     index = {p: i for i, p in enumerate(points)}
-
-    def shifted(p, steps):
-        return tuple(x + sum(s for a, s in steps if a == k)
-                     for k, x in enumerate(p))
-
-    edges, squares = [], []
+    cells = {i: [] for i in range(1, d)}
     for p in points:
-        for a in range(3):
-            q = shifted(p, [(a, 1)])
-            if q in index:
-                edges.append(edge_key(index[p], index[q]))
-        for a, b in itertools.combinations(range(3), 2):
-            corners = [shifted(p, [(a, da), (b, db)])
-                       for da in (0, 1) for db in (0, 1)]
-            if all(c in index for c in corners):
-                squares.append(tuple(sorted(index[c] for c in corners)))
-    space = DiscreteSpace(len(points), edges, {2: squares}, oriented=True)
-    ring = [index[p] for p in points if p[2] == n // 2]
-    order = walk(partial_graph(space, ring))
-    return space, CellChain.path(space, order, closed=True)
+        for i in range(1, d):
+            for axes in itertools.combinations(range(d), i):
+                corners = [tuple(x + bits[axes.index(k)] if k in axes else x
+                                 for k, x in enumerate(p))
+                           for bits in itertools.product((0, 1), repeat=i)]
+                if all(c in index for c in corners):
+                    cells[i].append(tuple(sorted(index[c] for c in corners)))
+    space = DiscreteSpace(len(points), cells.pop(1), cells, oriented=True)
+    h = n // 2
+    if d == 3:
+        ring = [index[p] for p in points if p[2] == h]
+        order = walk(partial_graph(space, ring))
+        return space, CellChain.path(space, order, closed=True)
+    flat = [(2, c) for c in cells[2]
+            if all(points[v][-1] == h for v in c)]
+    return space, CellChain.of_cells(space, 2, flat, closed=True)
 
 
 SPACES = {

@@ -270,8 +270,11 @@ def test_contract_unsupported_on_torus(torus44):
     barrier = frozenset((1, e) for e in mer.edge_set())
     seed = sorted(c for c in comp
                   if frozenset(torus44.cells[c].boundary) & barrier)[0]
-    with pytest.raises(UnsupportedConfiguration):
+    with pytest.raises(UnsupportedConfiguration,
+                       match="contraction ended on a surface other than "
+                             "the seed boundary") as info:
         contract_to_cell(torus44, comp, mer, seed)
+    assert info.value.cell == seed
 
 
 # -- inversion ---------------------------------------------------------------------
