@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes are a stable contract: 0 success, 1 domain violation (failed
-check, missing chain, wrong component count), 2 parse error, 3 a
-configuration the contraction construction does not support.
+check, missing chain, wrong component count), 2 parse error or a file
+that cannot be read or written, 3 a configuration the contraction
+construction does not support.
 """
 
 from __future__ import annotations
@@ -29,6 +30,15 @@ def _read(path: str):
             return fh.read()
     except OSError as exc:
         print("error: cannot read %s: %s" % (path, exc), file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+
+
+def _write(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print("error: cannot write %s: %s" % (path, exc), file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 
 
@@ -132,8 +142,7 @@ def cmd_separate(args) -> int:
         lines.append("parity %d %d %d" % (a, b, parity))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     print(text, end="")
     return EXIT_OK if report.exactly_two else EXIT_VIOLATION
 
@@ -189,8 +198,7 @@ def cmd_contract(args) -> int:
         return EXIT_UNSUPPORTED
     text = dio.save_trace(space, chain, trace, chains)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     print("contracted component %d (%d cells) to seed in %d removals"
           % (idx, len(component), len(trace.removals)))
     if not args.out:
@@ -225,8 +233,7 @@ def cmd_export(args) -> int:
         docs = dio.off_snapshots(space, snapshots, coords)
         for i, doc in enumerate(docs):
             path = "%s_step%03d.off" % (prefix, i)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(doc)
+            _write(path, doc)
             written.append(path)
     token = {c: str(c) for c in set().union(*snapshots)}
     for i, cells in enumerate(snapshots):
@@ -237,8 +244,7 @@ def cmd_export(args) -> int:
         for i, r in enumerate(trace.removals):
             log.append("removal %d: %s" % (i, (r.cell,)))
     logpath = "%s.log" % prefix
-    with open(logpath, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(log) + "\n")
+    _write(logpath, "\n".join(log) + "\n")
     written.append(logpath)
     print("wrote %s" % " ".join(written))
     return EXIT_OK

@@ -8,7 +8,10 @@ an edge of the other curve.  A gradually varied move decomposes into
 single-cell moves, each the XorSum with one 2-cell boundary.  A move
 needs an edge of the cell on the curve, so the move searches try only the
 cofaces of the current curve's edges and skip every other cell of their
-pool.  Side variation additionally forbids cross-overs, which are
+pool.  When the cell's loop meets the curve in one arc, the XorSum is a
+splice: the curve's arc is replaced by the loop's other arc, read off
+the loop and the curve's vertex order without rebuilding the curve from
+its edges.  Side variation additionally forbids cross-overs, which are
 detected through orientation tags in the links of shared vertices.
 """
 
@@ -67,12 +70,8 @@ def _nonend_verts(chain: CellChain) -> tuple:
 
 
 def _nonend_edges(chain: CellChain) -> tuple:
-    edges = tuple(edge_key(u, v) for u, v in
-                  zip(chain.verts, chain.verts[1:]))
-    if chain.closed:
-        edges = edges + (edge_key(chain.verts[-1], chain.verts[0]),)
-        return edges
-    return edges[1:-1]
+    edges = tuple(cid[1] for cid in chain.cells)
+    return edges if chain.closed else edges[1:-1]
 
 
 def _within_one_cell(space: DiscreteSpace, x: int, y: int) -> bool:
@@ -123,8 +122,8 @@ def _half_varied(space: DiscreteSpace, c: CellChain, cp: CellChain,
             return False
     if len(cp.verts) == 1:
         return True
-    mine = set(_all_edges(c))
-    theirs = set(_all_edges(cp))
+    mine = c.edge_set()
+    theirs = cp.edge_set()
     gains = theirs - mine
     for e in _nonend_edges(c):
         if e in theirs:
@@ -138,16 +137,6 @@ def _half_varied(space: DiscreteSpace, c: CellChain, cp: CellChain,
         if not ok:
             return False
     return True
-
-
-def _all_edges(chain: CellChain) -> tuple:
-    if len(chain.verts) < 2:
-        return ()
-    edges = tuple(edge_key(u, v) for u, v in
-                  zip(chain.verts, chain.verts[1:]))
-    if chain.closed:
-        edges = edges + (edge_key(chain.verts[-1], chain.verts[0]),)
-    return edges
 
 
 def edges_to_curve(space: DiscreteSpace, edges, like: CellChain | None = None):
@@ -171,29 +160,67 @@ def cell_boundary_chain(space: DiscreteSpace, cell) -> CellChain:
     return CellChain.path(space, loop, closed=True)
 
 
+def _attaching_arc(space: DiscreteSpace, chain: CellChain, cell):
+    """``(ring, k)`` when the 2-cell meets the curve in one arc of k >= 1
+    edges, not its whole boundary, and in no other vertex: ``ring`` is the
+    cell's loop turned to begin with that arc, ``ring[0..k]``.  None when
+    the cell does not attach to the curve along an arc."""
+    loop = space.cells[cell].loop
+    if loop is None:
+        return None
+    edges, n = chain.edge_set(), len(loop)
+    on = [edge_key(loop[i], loop[(i + 1) % n]) in edges for i in range(n)]
+    k = on.count(True)
+    if k == 0 or k == n:
+        return None
+    s = next(i for i in range(n) if on[i] and not on[i - 1])
+    if not all(on[(s + j) % n] for j in range(k)):
+        return None
+    verts = chain.vertex_set()
+    if sum(v in verts for v in loop) != k + 1:
+        return None
+    return loop[s:] + loop[:s], k
+
+
 def intersection_is_attaching_arc(space: DiscreteSpace, chain: CellChain,
                                   cell) -> bool:
     """Lemma-style attachment: the cell meets the curve exactly in an arc
     with at least one edge (not the whole cell boundary)."""
-    faces = {b[1] for b in space.cells[cell].boundary}
-    shared_edges = faces & set(_all_edges(chain))
-    if not shared_edges or len(shared_edges) == len(faces):
-        return False
-    arc = walk(shared_edges)
-    return arc is not None and len(arc) == len(shared_edges) + 1 and \
-        set(arc) == set(cell[1]) & chain.vertex_set()
+    return _attaching_arc(space, chain, cell) is not None
 
 
 def single_cell_move(space: DiscreteSpace, chain: CellChain, cell):
     """XorSum the curve with one 2-cell boundary; None when the move is not
-    an attaching-arc move or breaks curve simplicity."""
-    if not intersection_is_attaching_arc(space, chain, cell):
+    an attaching-arc move.
+
+    The move is a splice: the arc the cell shares with the curve is
+    replaced by the other arc of the cell's loop, which meets the curve
+    only at its two ends, so the result is again a simple curve.  A closed
+    result runs from its smallest vertex toward the smaller neighbour, an
+    open one from the start of ``chain`` (the order ``walk`` gives).
+    """
+    arc = _attaching_arc(space, chain, cell)
+    if arc is None:
         return None
-    faces = {b[1] for b in space.cells[cell].boundary}
-    new_edges = set(_all_edges(chain)).symmetric_difference(faces)
-    if not new_edges:
-        return None
-    return edges_to_curve(space, new_edges, like=chain)
+    ring, k = arc
+    verts = chain.verts
+    i = verts.index(ring[0])
+    if (chain.closed or i + 1 < len(verts)) and \
+            verts[(i + 1) % len(verts)] == ring[1]:
+        # the curve runs ring[0] .. ring[k] from position i
+        p, bridge = i, ring[:k:-1]
+    else:
+        p, bridge = verts.index(ring[k]), ring[k + 1:]
+    if chain.closed:
+        rot = verts[p:] + verts[:p]
+        new = rot[:1] + bridge + rot[k:]
+        m = new.index(min(new))
+        new = new[m:] + new[:m]
+        if new[-1] < new[1]:
+            new = new[:1] + new[:0:-1]
+    else:
+        new = verts[:p + 1] + bridge + verts[p + k:]
+    return CellChain.path(space, new, closed=chain.closed)
 
 
 def _cell_moves(space: DiscreteSpace, chain: CellChain, pool=None):
@@ -204,7 +231,7 @@ def _cell_moves(space: DiscreteSpace, chain: CellChain, pool=None):
     the curve's edges are tried; ``single_cell_move`` rejects every other
     cell.
     """
-    touching = {cid for e in _all_edges(chain)
+    touching = {cid for e in chain.edge_set()
                 for cid in space.cofaces((1, e))}
     for cell in sorted(touching) if pool is None else pool:
         if cell in touching:
@@ -226,7 +253,7 @@ def bfs_moves(space: DiscreteSpace, start: CellChain, pool, accept,
     as its result.  Returns None once ``max_depth`` levels are done or a
     level comes out empty.
     """
-    seen = {frozenset(_all_edges(start))}
+    seen = {start.edge_set()}
     frontier = [((start,), ())]
     depth = 0
     while frontier and (max_depth is None or depth < max_depth):
@@ -234,7 +261,7 @@ def bfs_moves(space: DiscreteSpace, start: CellChain, pool, accept,
         level = []
         for steps, moves in frontier:
             for cell, nxt in _cell_moves(space, steps[-1], pool):
-                key = frozenset(_all_edges(nxt))
+                key = nxt.edge_set()
                 if key in seen:
                     continue
                 seen.add(key)
@@ -258,7 +285,7 @@ def decompose_minimal_moves(space: DiscreteSpace, c: CellChain,
     """
     _require_curve(c)
     _require_curve(cp)
-    if set(_all_edges(c)) == set(_all_edges(cp)):
+    if c.edge_set() == cp.edge_set():
         return DeformationTrace((c,), (), MOVE_MINIMAL)
     if not are_gradually_varied(space, c, cp):
         raise PreconditionError("curves are not gradually varied")
@@ -270,19 +297,19 @@ def decompose_minimal_moves(space: DiscreteSpace, c: CellChain,
         raise PreconditionError("single-cell decomposition needs matching "
                                 "endpoints")
     pool = _spanned_cells(space, c.vertex_set() | cp.vertex_set())
-    target = set(_all_edges(cp))
+    target = cp.edge_set()
 
     steps = [c]
     moves = []
-    while set(_all_edges(steps[-1])) != target:
+    while steps[-1].edge_set() != target:
         cur = steps[-1]
-        gap = set(_all_edges(cur)).symmetric_difference(target)
+        gap = cur.edge_set() ^ target
         best = None
         for cell in pool:
             nxt = single_cell_move(space, cur, cell)
             if nxt is None:
                 continue
-            new_gap = set(_all_edges(nxt)).symmetric_difference(target)
+            new_gap = nxt.edge_set() ^ target
             if len(new_gap) < len(gap):
                 best = (cell, nxt)
                 break
@@ -297,11 +324,11 @@ def decompose_minimal_moves(space: DiscreteSpace, c: CellChain,
     return DeformationTrace(tuple(steps), tuple(moves), MOVE_MINIMAL)
 
 
-def _reaching(target: set):
+def _reaching(target: frozenset):
     """The ``bfs_moves`` test that ends on the first curve with the edge
     set ``target``, as a minimal trace."""
     def accept(steps, moves):
-        if set(_all_edges(steps[-1])) == target:
+        if steps[-1].edge_set() == target:
             return DeformationTrace(steps, moves, MOVE_MINIMAL)
         return None
     return accept
@@ -314,8 +341,7 @@ def realizing_cells(space: DiscreteSpace, c1: CellChain, c2: CellChain):
     Solved as a linear system over GF(2) with one row per candidate cell.
     """
     pool = _spanned_cells(space, c1.vertex_set() | c2.vertex_set())
-    target = frozenset(set(_all_edges(c1)).symmetric_difference(
-        _all_edges(c2)))
+    target = c1.edge_set() ^ c2.edge_set()
     if not target:
         return frozenset()
     pivots: dict = {}
@@ -512,14 +538,14 @@ def detour_sequence(space: DiscreteSpace, c0: CellChain, c1: CellChain,
     _require_curve(c1)
     if forbidden not in space.cells or forbidden[0] != 2:
         raise InputError("forbidden must name a 2-cell")
-    if set(_all_edges(c0)) == set(_all_edges(c1)):
+    if c0.edge_set() == c1.edge_set():
         return DeformationTrace((c0,), (), MOVE_MINIMAL)
     if c0.closed or c1.closed:
         raise PreconditionError("detour arcs must be open paths")
     if {c0.verts[0], c0.verts[-1]} != {c1.verts[0], c1.verts[-1]}:
         raise PreconditionError("arcs must share their endpoints")
     rim = {b[1] for b in space.cells[forbidden].boundary}
-    if set(_all_edges(c0)) | set(_all_edges(c1)) != rim:
+    if c0.edge_set() | c1.edge_set() != rim:
         raise PreconditionError("the arcs do not jointly bound the "
                                 "forbidden cell")
     enclosing = space.cofaces(forbidden)
@@ -532,7 +558,7 @@ def detour_sequence(space: DiscreteSpace, c0: CellChain, c1: CellChain,
         raise PreconditionError("no enclosing cell provides a boundary "
                                 "sphere to route over")
 
-    trace = bfs_moves(space, c0, pool, _reaching(set(_all_edges(c1))),
+    trace = bfs_moves(space, c0, pool, _reaching(c1.edge_set()),
                       len(pool) + 1)
     if trace is None:
         raise PreconditionError("no detour found over the enclosing boundary")
@@ -558,7 +584,7 @@ def verify_contraction(space: DiscreteSpace, cycle: CellChain, p: int,
     if not trace.steps:
         report.add("empty trace")
         return report
-    if set(_all_edges(trace.steps[0])) != set(_all_edges(cycle)):
+    if trace.steps[0].edge_set() != cycle.edge_set():
         report.add("trace does not start at the given cycle")
     last = trace.steps[-1]
     if last.verts != (p,):
@@ -608,10 +634,11 @@ def search_contraction(space: DiscreteSpace, cycle: CellChain, p: int,
 
     def goal_cell(chain):
         # a 2-cell bounded by the chain is a coface of each of its edges
-        edges = set(_all_edges(chain))
+        # with as many vertices as the chain
         for cid in space.cofaces((1, edge_key(*chain.verts[:2]))):
-            if p in cid[1] and \
-                    {b[1] for b in space.cells[cid].boundary} == edges:
+            if len(cid[1]) != len(chain.verts) or p not in cid[1]:
+                continue
+            if {b[1] for b in space.cells[cid].boundary} == chain.edge_set():
                 return cid
         return None
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 from .complexes import (CellChain, CheckReport, DiscreteSpace, check_regular,
                         closure, edge_key, face_components, is_closed)
-from .deformation import (MOVE_SIDE_GRADUAL, DeformationTrace, _all_edges,
-                          _cell_moves, are_side_gradually_varied, bfs_moves,
+from .deformation import (MOVE_SIDE_GRADUAL, DeformationTrace, _cell_moves,
+                          are_side_gradually_varied, bfs_moves,
                           realizing_cells)
 from .errors import (BudgetExhausted, InputError, PreconditionError,
                      UnsupportedConfiguration)
@@ -143,7 +143,7 @@ def first_crossing(space: DiscreteSpace, s: CellChain,
 def _intersection_with(space: DiscreteSpace, path: CellChain, s_verts,
                        s_edges):
     verts = frozenset(v for v in path.verts if v in s_verts)
-    edges = frozenset(e for e in _all_edges(path) if e in s_edges)
+    edges = path.edge_set() & s_edges
     return verts, edges
 
 

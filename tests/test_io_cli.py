@@ -292,6 +292,24 @@ def test_cmd_export_unknown_format(octa_file):
     assert cli.main(["export", octa_file, "--format", "svg"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["separate", "--chain", "sphere"],
+    ["contract", "--chain", "sphere"],
+    ["export"],
+    ["export", "--format", "log"],
+])
+def test_unwritable_out_exits_2(argv, simplex4_file, tmp_path, capsys):
+    # an --out path in a missing directory is reported like an unreadable
+    # input: one error line and exit 2, never a traceback
+    out = str(tmp_path / "missing" / "x")
+    argv = [argv[0], simplex4_file] + argv[1:] + ["--out", out]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error: cannot write %s" % out in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
 # -- malformed files ---------------------------------------------------------
 
 
