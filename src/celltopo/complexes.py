@@ -193,7 +193,7 @@ class DiscreteSpace:
                     # every (d-1)-cell inside the cell has one of its vertices
                     vs = set(verts)
                     bnd = {c for v in verts for c in self._at_vertex.get(v, ())
-                           if c[0] == d - 1 and set(c[1]) <= vs}
+                           if c[0] == d - 1 and vs.issuperset(c[1])}
                 bnd = tuple(sorted(bnd))
                 loop = self._validate_boundary(d, verts, bnd)
                 self._register(Cell(d, verts, bnd, loop))
@@ -217,12 +217,13 @@ class DiscreteSpace:
             self.oriented = bool(oriented) if oriented is not None else False
 
     def _register(self, cell: Cell):
-        self.cells[cell.id] = cell
-        self._dims.setdefault(cell.dim, []).append(cell.id)
+        cid = (cell.dim, cell.verts)
+        self.cells[cid] = cell
+        self._dims.setdefault(cell.dim, []).append(cid)
         for v in cell.verts:
-            self._at_vertex[v].append(cell.id)
+            self._at_vertex[v].append(cid)
         for b in cell.boundary:
-            self._cofaces.setdefault(b, []).append(cell.id)
+            self._cofaces.setdefault(b, []).append(cid)
 
     # -- construction-time validation -------------------------------------
 
@@ -248,8 +249,7 @@ class DiscreteSpace:
             if loop is None or len(loop) != len(bnd):
                 raise InputError("%r: boundary edges do not form a simple "
                                  "closed cycle" % (cid,))
-            for u, v in itertools.combinations(verts, 2):
-                e = edge_key(u, v)
+            for e in itertools.combinations(verts, 2):
                 if e in self.edges and (1, e) not in bnd:
                     raise InputError("%r: chord %r makes the boundary cycle "
                                      "non-minimal" % (cid, e))
@@ -266,33 +266,36 @@ class DiscreteSpace:
     def _check_well_attachment(self):
         """Any two same-dimension cells intersect in a connected vertex set.
 
-        Pairs go in ascending (a, b) order; only pairs sharing a vertex can
-        fail, so only those are visited.
+        Pairs go in ascending (a, b) order.  One pass over the d-cells at
+        a's vertices collects the vertices a shares with each later cell b.
+        One shared vertex is connected, two are connected iff they form an
+        edge, and only three or more need a search.
         """
         for d in range(2, self.top_dim + 1):
-            for a in self.cells_of_dim(d):
-                near = {b for v in a[1] for b in self.cells_containing(v, d)
-                        if b > a}
-                for b in sorted(near):
-                    inter = set(a[1]) & set(b[1])
-                    if len(inter) > 1 and not self._induces_connected(inter):
+            cells = self.cells_of_dim(d)
+            # each vertex's d-cells, descending: the last one is the
+            # smallest not yet visited
+            at: dict = {}
+            for c in reversed(cells):
+                for v in c[1]:
+                    at.setdefault(v, []).append(c)
+            for a in cells:
+                shared: dict = {}
+                for v in a[1]:
+                    later = at[v]
+                    later.pop()
+                    for b in later:
+                        shared.setdefault(b, []).append(v)
+                for b, inter in sorted(shared.items()):
+                    if len(inter) == 2:
+                        ok = tuple(inter) in self.edges
+                    else:
+                        ok = len(inter) == 1 or _induces_connected(self, inter)
+                    if not ok:
                         raise InputError(
                             "cells %r and %r are not well-attached: their "
                             "intersection %r induces a disconnected subgraph"
-                            % (a, b, tuple(sorted(inter))))
-
-    def _induces_connected(self, vs: set) -> bool:
-        vs = set(vs)
-        start = next(iter(vs))
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in self.vertex_neighbors(v):
-                if w in vs and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == vs
+                            % (a, b, tuple(inter)))
 
     def _orient_two_cells(self) -> bool:
         """Flip 2-cell loops so adjacent cells traverse shared edges in
@@ -300,31 +303,27 @@ class DiscreteSpace:
         if any(len(self.cofaces(e)) > 2 for e in self.cells_of_dim(1)):
             return False
 
-        def direction(loop, e):
-            # +1 if the loop walks e = (u, v) from u to v, else -1.
-            u, v = e
-            n = len(loop)
-            i = loop.index(u)
-            return 1 if loop[(i + 1) % n] == v else -1
-
+        # the edges (u, v), u < v, each loop walks from u to v
+        forward = {}
+        for cid in self.cells_of_dim(2):
+            loop = self.cells[cid].loop
+            forward[cid] = {e for e in zip(loop, loop[1:] + loop[:1])
+                            if e[0] < e[1]}
         flipped: dict = {}
         for root in self.cells_of_dim(2):
             if root in flipped:
                 continue
             flipped[root] = False
             queue = [root]
-            while queue:
-                cur = queue.pop(0)
-                cur_loop = self.cells[cur].loop
-                if flipped[cur]:
-                    cur_loop = tuple(reversed(cur_loop))
+            for cur in queue:
                 for b in self.cells[cur].boundary:
+                    # whether cur, as flipped, walks b forward; a neighbour
+                    # walking b the same way must be flipped
+                    fwd = (b[1] in forward[cur]) != flipped[cur]
                     for other in self.cofaces(b):
                         if other == cur:
                             continue
-                        want = -direction(cur_loop, b[1])
-                        have = direction(self.cells[other].loop, b[1])
-                        need_flip = (have != want)
+                        need_flip = (b[1] in forward[other]) == fwd
                         if other not in flipped:
                             flipped[other] = need_flip
                             queue.append(other)
@@ -370,6 +369,21 @@ class DiscreteSpace:
 
 
 # -- incidence -------------------------------------------------------------
+
+
+def _induces_connected(space: DiscreteSpace, vs) -> bool:
+    """True iff the vertex set ``vs`` induces a connected subgraph of G."""
+    vs = set(vs)
+    start = next(iter(vs))
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for w in space.vertex_neighbors(v):
+            if w in vs and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == vs
 
 
 def face_counts(space: DiscreteSpace, cells) -> dict:

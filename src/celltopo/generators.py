@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import CellChain, DiscreteSpace
+from .complexes import CellChain, DiscreteSpace, partial_graph, walk
 from .errors import InputError
 
 
@@ -28,11 +28,39 @@ def simplex_boundary(n: int) -> DiscreteSpace:
     return DiscreteSpace(n + 1, edges, cells, oriented=True)
 
 
-def _cube_vertex_id(bits) -> int:
-    v = 0
-    for b in bits:
-        v = (v << 1) | b
-    return v
+def lattice_sphere(d: int, n: int):
+    """The quad (d-1)-sphere bounding the cube [0, n]^d, and its equator.
+
+    Vertices are the boundary lattice points, numbered in lexicographic
+    order of their coordinates; every unit i-face on the boundary is an
+    i-cell.  The equator is the (d-2)-sphere of the cells at last
+    coordinate n // 2: a closed vertex walk for d = 3 (from its smallest
+    vertex, as ``walk`` orders a cycle), otherwise the chain of its
+    (d-2)-cells.  Returns ``(space, equator)``.
+    """
+    if not (2 <= d <= 5) or n < 1:
+        raise InputError("lattice_sphere supports 2 <= d <= 5 and n >= 1")
+    points = [p for p in itertools.product(range(n + 1), repeat=d)
+              if 0 in p or n in p]
+    index = {p: i for i, p in enumerate(points)}
+    faces: dict = {0: [(v,) for v in range(len(points))]}
+    for p in points:
+        for i in range(1, d):
+            for axes in itertools.combinations(range(d), i):
+                corners = [tuple(x + bits[axes.index(a)] if a in axes else x
+                                 for a, x in enumerate(p))
+                           for bits in itertools.product((0, 1), repeat=i)]
+                if all(c in index for c in corners):
+                    faces.setdefault(i, []).append(
+                        tuple(sorted(index[c] for c in corners)))
+    space = DiscreteSpace(len(points), faces[1],
+                          {i: faces[i] for i in range(2, d)}, oriented=True)
+    level = {v for v, p in enumerate(points) if p[-1] == n // 2}
+    if d == 3:
+        ring = walk(partial_graph(space, level))
+        return space, CellChain.path(space, ring, closed=True)
+    cells = [(d - 2, c) for c in faces[d - 2] if level.issuperset(c)]
+    return space, CellChain.of_cells(space, d - 2, cells, closed=True)
 
 
 def cube_boundary(n: int) -> DiscreteSpace:
@@ -40,29 +68,11 @@ def cube_boundary(n: int) -> DiscreteSpace:
 
     Vertex id encodes the coordinate bits big-endian, so (b0, .., b_{n-1})
     gets id sum(b_i * 2^(n-1-i)).  A d-face fixes n-d coordinates and frees
-    the rest; the full cube is omitted.
+    the rest; the full cube is omitted.  It is ``lattice_sphere(n, 1)``.
     """
     if not (2 <= n <= 5):
         raise InputError("cube_boundary supports 2 <= n <= 5")
-    edges = []
-    cells: dict = {d: [] for d in range(2, n)}
-    for d in range(1, n):
-        for free in itertools.combinations(range(n), d):
-            fixed = [i for i in range(n) if i not in free]
-            for vals in itertools.product((0, 1), repeat=len(fixed)):
-                face = []
-                for bits in itertools.product((0, 1), repeat=d):
-                    coord = [0] * n
-                    for i, b in zip(fixed, vals):
-                        coord[i] = b
-                    for i, b in zip(free, bits):
-                        coord[i] = b
-                    face.append(_cube_vertex_id(coord))
-                if d == 1:
-                    edges.append(tuple(sorted(face)))
-                else:
-                    cells[d].append(tuple(sorted(face)))
-    return DiscreteSpace(2 ** n, edges, cells, oriented=True)
+    return lattice_sphere(n, 1)[0]
 
 
 def octahedron() -> DiscreteSpace:

@@ -98,23 +98,23 @@ def save_trace(space: DiscreteSpace, s: CellChain,
 
 class _Reader:
     def __init__(self, text: str):
-        self.lines = text.splitlines()
+        self.lines = [line.strip() for line in text.splitlines()]
         self.pos = 0
 
     def next(self, what: str) -> str:
-        while self.pos < len(self.lines) and not self.lines[self.pos].strip():
+        while self.pos < len(self.lines) and not self.lines[self.pos]:
             self.pos += 1
         if self.pos >= len(self.lines):
             raise ParseError("unexpected end of file, expected %s" % what,
                              len(self.lines))
         self.pos += 1
-        return self.lines[self.pos - 1].strip()
+        return self.lines[self.pos - 1]
 
     def peek(self) -> str | None:
         i = self.pos
-        while i < len(self.lines) and not self.lines[i].strip():
+        while i < len(self.lines) and not self.lines[i]:
             i += 1
-        return self.lines[i].strip() if i < len(self.lines) else None
+        return self.lines[i] if i < len(self.lines) else None
 
     @property
     def line_no(self) -> int:
@@ -123,7 +123,7 @@ class _Reader:
 
 def _ints(text: str, reader: _Reader) -> list:
     try:
-        return [int(t) for t in text.split()]
+        return list(map(int, text.split()))
     except ValueError:
         raise ParseError("expected integers, got %r" % text, reader.line_no)
 
@@ -142,10 +142,22 @@ def _int(token: str, reader: _Reader, what: str,
     return value
 
 
+def _indices(text: str, reader: _Reader, what: str, bound: int) -> list:
+    """The indices on one line, each checked as ``_int`` checks it: parsed
+    in one pass, and token by token only to report the first bad one."""
+    try:
+        values = list(map(int, text.split()))
+        if not values or (min(values) >= 0 and max(values) < bound):
+            return values
+    except ValueError:
+        pass
+    return [_int(t, reader, what, bound) for t in text.split()]
+
+
 def load_complex(text: str):
     """Parse a DSC document into a space plus its named chains."""
-    reader = _Reader(text)
-    return _load_complex_body(reader)
+    space, chains, _ = _load_complex_body(_Reader(text))
+    return space, chains
 
 
 def _expect(reader: _Reader, keyword: str, fields: int = 0) -> list:
@@ -180,30 +192,35 @@ def _load_complex_body(reader: _Reader):
 
     cells_by_dim: dict = {}
     boundaries: dict = {}
-    prev_ids = [(1, edge_key(*e)) for e in edges]
+    edge_list = [edge_key(*e) for e in edges]
+    # the cell ids of each dimension's rows, in file order: every index in
+    # the file (boundaries, chains, traces) counts rows
+    rows = {1: [(1, e) for e in edge_list]}
     for d in range(2, dim + 1):
         parts = _expect(reader, "cells", 2)
         if _int(parts[0], reader, "cell dimension") != d:
             raise ParseError("expected cells of dimension %d" % d,
                              reader.line_no)
         count = _int(parts[1], reader, "cell count")
+        faces = rows[d - 1]
         ids = []
-        rows = []
         for _ in range(count):
-            line = reader.next("a cell row")
-            if "|" not in line:
+            left, bar, right = reader.next("a cell row").partition("|")
+            if not bar:
                 raise ParseError("cell rows are 'verts | boundary'",
                                  reader.line_no)
-            left, right = line.split("|", 1)
             verts = tuple(sorted(_ints(left, reader)))
-            bidx = [_int(i, reader, "boundary index", len(prev_ids))
-                    for i in right.split()]
-            rows.append((verts, tuple(prev_ids[i] for i in bidx)))
-            ids.append((d, verts))
-        cells_by_dim[d] = [verts for verts, _ in rows]
-        for (verts, bnd) in rows:
-            boundaries[(d, verts)] = bnd
-        prev_ids = ids
+            bnd = tuple([faces[i] for i in _indices(
+                right, reader, "boundary index", len(faces))])
+            if len(set(verts)) != len(verts):
+                raise ParseError("a cell row repeats vertex %d" % next(
+                    u for u, w in zip(verts, verts[1:]) if u == w),
+                    reader.line_no)
+            cid = (d, verts)
+            boundaries[cid] = bnd
+            ids.append(cid)
+        cells_by_dim[d] = [cid[1] for cid in ids]
+        rows[d] = ids
 
     raw_chains = []
     while True:
@@ -216,18 +233,15 @@ def _load_complex_body(reader: _Reader):
                              reader.line_no)
         name = parts[0]
         cdim = _int(parts[1], reader, "chain dimension", dim + 1)
-        bound = n if cdim == 0 else m if cdim == 1 else \
-            len(cells_by_dim[cdim])
-        idx = [_int(i, reader, "chain index", bound)
-               for i in reader.next("chain indices").split()]
+        bound = n if cdim == 0 else len(rows[cdim])
+        idx = _indices(reader.next("chain indices"), reader, "chain index",
+                       bound)
         raw_chains.append((name, cdim, idx))
 
     space = DiscreteSpace(n, edges, cells_by_dim, boundaries,
                           oriented=oriented)
 
     chains = {}
-    by_dim = {d: space.cells_of_dim(d) for d in range(2, dim + 1)}
-    edge_list = [edge_key(*e) for e in edges]
     for name, cdim, idx in raw_chains:
         if cdim == 0:
             if len(idx) != 1:
@@ -238,11 +252,11 @@ def _load_complex_body(reader: _Reader):
             es = [edge_list[i] for i in idx]
             chains[name] = _edges_to_chain(space, es, name)
         else:
-            cells = [by_dim[cdim][i] for i in idx]
+            cells = [rows[cdim][i] for i in idx]
             closed = not cells or is_closed(space, cells)
             chains[name] = CellChain.of_cells(space, cdim, cells,
                                               closed=closed)
-    return space, chains
+    return space, chains, rows
 
 
 def _edges_to_chain(space: DiscreteSpace, edges, name: str) -> CellChain:
@@ -260,7 +274,7 @@ def load_trace(text: str):
     if head != [str(FORMAT_VERSION)]:
         raise ParseError("unsupported trace version %r" % (head,),
                          reader.line_no)
-    space, chains = _load_complex_body(reader)
+    space, chains, rows = _load_complex_body(reader)
     if "surface" not in chains:
         raise ParseError("trace file lacks the 'surface' chain",
                          reader.line_no)
@@ -268,8 +282,8 @@ def load_trace(text: str):
     direction = parts[0]
     count = _int(parts[1], reader, "removal count")
     k = space.top_dim
-    top = space.cells_of_dim(k)
-    faces = space.cells_of_dim(k - 1)
+    top = rows[k]
+    faces = rows[k - 1] if k >= 2 else space.cells_of_dim(0)
     seed = top[_int(_expect(reader, "seed", 1)[0], reader, "seed", len(top))]
     removals = []
     for _ in range(count):
@@ -280,11 +294,10 @@ def load_trace(text: str):
             raise ParseError("step rows are 'step i | replaced | "
                              "replacement'", reader.line_no)
         cell = top[_int(bits[0], reader, "step cell", len(top))]
-        replaced = frozenset(faces[_int(i, reader, "face index", len(faces))]
-                             for i in bits[1].split())
-        replacement = frozenset(
-            faces[_int(i, reader, "face index", len(faces))]
-            for i in bits[2].split())
+        replaced = frozenset(faces[i] for i in _indices(
+            bits[1], reader, "face index", len(faces)))
+        replacement = frozenset(faces[i] for i in _indices(
+            bits[2], reader, "face index", len(faces)))
         removals.append(Removal(cell, replaced, replacement))
     first = _submanifold_cells(space, chains["surface"])
     trace = ContractionTrace(seed, first, tuple(removals), direction)

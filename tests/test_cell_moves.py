@@ -18,16 +18,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from celltopo import deformation
+from celltopo import generators as gen
 from celltopo.complexes import CellChain, edge_key, walk
 from celltopo.deformation import (_contract_dfs, bfs_moves,
                                   cell_boundary_chain, edges_to_curve,
                                   intersection_is_attaching_arc,
                                   search_contraction, single_cell_move)
 
-from test_flatness_oracle import (PROPS, SPACES, _count_calls,
-                                  lattice_sphere, simple_walks)
+from test_flatness_oracle import PROPS, SPACES, _count_calls, simple_walks
 
-LATTICE4 = lattice_sphere(4)
+LATTICE4 = gen.lattice_sphere(3, 4)
 
 
 def reference_moves(space, curve, pool) -> list:

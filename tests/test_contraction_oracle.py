@@ -29,7 +29,7 @@ from celltopo.separation import (ContractionTrace, Removal,
                                  contract_to_cell, replay,
                                  verify_contraction_trace)
 
-from test_flatness_oracle import PROPS, _count_calls, lattice_sphere
+from test_flatness_oracle import PROPS, _count_calls
 
 # -- references ---------------------------------------------------------------
 
@@ -166,8 +166,8 @@ def chain_seeds(space, component, s) -> list:
 
 # -- drawn blobs --------------------------------------------------------------
 
-LATTICES = {"S(3, 3)": lattice_sphere(3), "S(3, 4)": lattice_sphere(4),
-            "S(3, 5)": lattice_sphere(5), "S(4, 3)": lattice_sphere(3, 4)}
+LATTICES = {"S(%d, %d)" % dn: gen.lattice_sphere(*dn)
+            for dn in ((3, 3), (3, 4), (3, 5), (4, 3))}
 
 
 def blob_boundary(space, blob) -> list:
@@ -289,7 +289,7 @@ def test_kept_distances_match_a_fresh_pass(data):
 def band(n: int):
     """S(3, n) and its ring of squares between heights 1 and 2, in order
     around the sphere from the smallest square."""
-    space, _ = lattice_sphere(n)
+    space, _ = gen.lattice_sphere(3, n)
     points = [p for p in itertools.product(range(n + 1), repeat=3)
               if 0 in p or n in p]
     squares = {c for c in space.cells_of_dim(2)
@@ -336,7 +336,7 @@ def test_a_lengthened_distance_reorders_the_queue():
     # six squares: the first removal lengthens the distance of a square
     # that already touches the surface, and the next choice depends on its
     # new distance (found by a random search against the reference)
-    space, _ = lattice_sphere(4)
+    space, _ = gen.lattice_sphere(3, 4)
     region = {(2, c) for c in [
         (1, 2, 6, 7), (1, 2, 26, 27), (5, 6, 10, 11), (5, 10, 30, 32),
         (6, 7, 11, 12), (7, 8, 12, 13), (10, 11, 15, 16), (15, 16, 20, 21),
@@ -381,7 +381,7 @@ def test_contraction_matches_reference_on_drawn_surfaces(data):
 def test_contraction_work_bound(monkeypatch):
     # one distance pass for the whole contraction, and no whole-surface
     # closedness count in the contraction or its verifier
-    space, s = lattice_sphere(4)
+    space, s = gen.lattice_sphere(3, 4)
     component = max(components_of_complement(space, s).components)
     passes = _count_calls(monkeypatch, separation, "_region_distances")
     closed = _count_calls(monkeypatch, complexes, "is_closed")

@@ -19,38 +19,9 @@ from hypothesis import strategies as st
 
 from celltopo import complexes, metrics
 from celltopo import generators as gen
-from celltopo.complexes import (CellChain, DiscreteSpace, closure, edge_key,
-                                link, partial_graph, walk)
+from celltopo.complexes import CellChain, closure, edge_key, link, partial_graph
 from celltopo.flatness import _ball, is_locally_flat, subset_flatness
 from celltopo.metrics import k_cell_distance
-
-
-def lattice_sphere(n: int, d: int = 3):
-    """The quad (d-1)-sphere bounding [0, n]^d and its equator at last
-    coordinate n // 2: a ring of vertices for d = 3, a chain of squares
-    for d = 4."""
-    points = [p for p in itertools.product(range(n + 1), repeat=d)
-              if 0 in p or n in p]
-    index = {p: i for i, p in enumerate(points)}
-    cells = {i: [] for i in range(1, d)}
-    for p in points:
-        for i in range(1, d):
-            for axes in itertools.combinations(range(d), i):
-                corners = [tuple(x + bits[axes.index(k)] if k in axes else x
-                                 for k, x in enumerate(p))
-                           for bits in itertools.product((0, 1), repeat=i)]
-                if all(c in index for c in corners):
-                    cells[i].append(tuple(sorted(index[c] for c in corners)))
-    space = DiscreteSpace(len(points), cells.pop(1), cells, oriented=True)
-    h = n // 2
-    if d == 3:
-        ring = [index[p] for p in points if p[2] == h]
-        order = walk(partial_graph(space, ring))
-        return space, CellChain.path(space, order, closed=True)
-    flat = [(2, c) for c in cells[2]
-            if all(points[v][-1] == h for v in c)]
-    return space, CellChain.of_cells(space, 2, flat, closed=True)
-
 
 SPACES = {
     "octahedron": gen.octahedron(),
@@ -62,7 +33,7 @@ SPACES = {
     "seven": gen.seven_vertex_torus(),
     "strip": gen.strip_grid(3, 3),
     "strip-tri": gen.strip_grid(3, 3, triangulated=True),
-    "lattice3": lattice_sphere(3)[0],
+    "lattice3": gen.lattice_sphere(3, 3)[0],
 }
 
 PROPS = settings(max_examples=80, deadline=None,
@@ -219,7 +190,7 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 def test_flatness_work_bound(monkeypatch):
     # no pair distance is computed, and no mediator's link twice
-    space, equator = lattice_sphere(4)
+    space, equator = gen.lattice_sphere(3, 4)
     distances = _count_calls(monkeypatch, metrics, "k_cell_distance")
     links = _count_calls(monkeypatch, complexes, "link")
     assert is_locally_flat(space, equator)

@@ -1,8 +1,11 @@
+import itertools
+from math import comb
+
 import pytest
 
 from celltopo import generators as gen
 from celltopo import io as dio
-from celltopo.complexes import check_regular, is_closed_manifold
+from celltopo.complexes import check_regular, is_closed, is_closed_manifold
 from celltopo.errors import InputError
 from celltopo.flatness import is_locally_flat
 from celltopo.metrics import is_triangulated
@@ -37,6 +40,10 @@ def test_range_checks():
         gen.cube_boundary(1)
     with pytest.raises(InputError):
         gen.torus_grid(2, 4)
+    with pytest.raises(InputError):
+        gen.lattice_sphere(6, 2)
+    with pytest.raises(InputError):
+        gen.lattice_sphere(3, 0)
     with pytest.raises(InputError):
         gen.figure_case("fig99")
     with pytest.raises(InputError):
@@ -84,3 +91,46 @@ def test_equators():
 def test_meridian_shape(torus44):
     mer = gen.torus_meridian(torus44, 4)
     assert mer.closed and len(mer.verts) == 4
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 1), (3, 2), (3, 5), (4, 1),
+                                  (4, 2), (5, 1)])
+def test_lattice_sphere_counts_and_equator(d, n):
+    space, equator = gen.lattice_sphere(d, n)
+    # boundary unit i-faces of [0, n]^d, in closed form
+    for i in range(d):
+        assert len(space.cells_of_dim(i)) == \
+            comb(d, i) * n ** i * ((n + 1) ** (d - i) - (n - 1) ** (d - i))
+    assert check_regular(space) and is_closed_manifold(space)
+    assert space.oriented
+    # the equator holds the 2 (d - 1) n^(d-2) boundary unit (d-2)-faces
+    # of the level n // 2, [0, n]^(d-1): on a 2-sphere as a ring
+    assert equator.dim == d - 2 and equator.closed
+    assert len(equator.cells) == 2 * (d - 1) * n ** (d - 2)
+    if d == 3:
+        assert len(set(equator.verts)) == len(equator.cells)
+    elif d > 3:
+        assert is_closed(space, equator.cells)
+    if d >= 3:
+        text = dio.save_complex(space, {"equator": equator})
+        assert dio.load_complex(text)[1]["equator"] == equator
+
+
+def test_cube_boundary_numbering():
+    # the unit lattice sphere keeps the cube's numbering: an id's bits are
+    # the coordinates, big-endian, and an i-cell is the 2^i ids that agree
+    # on the other n - i bits
+    for n in range(2, 6):
+        cube = gen.cube_boundary(n)
+        for i in range(1, n):
+            want = set()
+            for free in itertools.combinations(range(n), i):
+                bits = [1 << (n - 1 - a) for a in free]
+                mask = sum(bits)
+                for base in range(2 ** n):
+                    if base & mask == 0:
+                        want.add(tuple(sorted(
+                            base + sum(itertools.compress(bits, pick))
+                            for pick in itertools.product((0, 1), repeat=i))))
+            assert {cid[1] for cid in cube.cells_of_dim(i)} == want
+        assert cube.cells == gen.lattice_sphere(n, 1)[0].cells

@@ -78,6 +78,84 @@ def test_parse_error_carries_line(octa):
     assert err.value.line > 0
 
 
+def test_repeated_vertex_is_parse_error(octa):
+    # the row would otherwise load with a derived boundary in place of its
+    # own
+    text = dio.save_complex(octa).replace("0 1 2 | 0 1 4", "0 0 1 2 | 11")
+    with pytest.raises(dio.ParseError, match="line 19: a cell row repeats "
+                       "vertex 0"):
+        dio.load_complex(text)
+
+
+def _reverse_rows(text: str, d: int) -> str:
+    """``text`` with its d-cell rows in reverse order.  Every index that
+    counts those rows follows them: the boundaries of the (d+1)-cells, the
+    d-chains, and in a trace of top dimension k the seed and step cells
+    (d = k) or the step faces (d = k - 1)."""
+    lines = text.splitlines()
+    k = int(next(line for line in lines if line.startswith("dim ")).split()[1])
+
+    def block(dim):
+        # the line numbers of the rows under the "cells dim" header
+        for i, line in enumerate(lines):
+            if line.startswith("cells %d " % dim):
+                return range(i + 1, i + 1 + int(line.split()[2]))
+        return range(0)
+
+    rows, above = block(d), block(d + 1)
+    lines[rows.start:rows.stop] = lines[rows.start:rows.stop][::-1]
+
+    def renumber(part):
+        return " ".join(str(len(rows) - 1 - int(i)) for i in part.split())
+
+    for i, line in enumerate(lines):
+        bits = line.split(" | ")
+        word = bits[0].split()[0] if bits[0] else ""
+        if i in above:
+            bits[1] = renumber(bits[1])
+        elif i and lines[i - 1].startswith("chain ") and \
+                lines[i - 1].split()[2] == str(d):
+            bits[0] = renumber(bits[0])
+        elif word in ("seed", "step") and d == k:
+            bits[0] = "%s %s" % (word, renumber(bits[0][5:]))
+        elif word == "step" and d == k - 1:
+            bits[1:] = [renumber(b) for b in bits[1:]]
+        lines[i] = " | ".join(bits)
+    return "\n".join(lines) + "\n"
+
+
+def test_chain_indices_count_file_rows(octa):
+    # with the 2-cell rows reversed, index 0 of a 2-chain is the first row
+    # of the file, not the smallest cell
+    text = dio.save_complex(octa) + "chain one 2\n0\nchain all 2\n0 1 7\n"
+    flipped = _reverse_rows(text, 2)
+    assert flipped.splitlines()[-4:] == ["chain one 2", "7",
+                                         "chain all 2", "7 6 0"]
+    _, chains = dio.load_complex(text)
+    _, flipped_chains = dio.load_complex(flipped)
+    assert chains["one"].cells == ((2, (0, 1, 2)),)
+    assert flipped_chains == chains
+    _, first = dio.load_complex(flipped.replace("chain one 2\n7",
+                                                "chain one 2\n0"))
+    assert first["one"].cells == ((2, (3, 4, 5)),)
+
+
+def test_trace_indices_count_file_rows(simplex4):
+    # seed, step cells and step faces resolve against the rows as read
+    text = _trace_text(simplex4)
+    space, chains, trace = dio.load_trace(text)
+    for d in ((3,), (2,), (2, 3)):
+        flipped = text
+        for dim in d:
+            flipped = _reverse_rows(flipped, dim)
+        assert flipped != text
+        space2, chains2, trace2 = dio.load_trace(flipped)
+        assert (trace2.seed, trace2.removals) == (trace.seed, trace.removals)
+        assert chains2 == chains
+        assert dio.save_trace(space2, chains2["surface"], trace2,
+                              chains2) == text
+
+
 def test_bad_boundary_index(octa):
     text = dio.save_complex(octa)
     lines = text.splitlines()
@@ -331,6 +409,7 @@ def _trace_text(simplex4):
     ("dsc", "cells 2 8", "cells 2"),
     ("dsc", "cells 2 8", "cells x 8"),
     ("dsc", "0 1 2 | 0 1 4", "0 1 2 | 0 1 x"),
+    ("dsc", "0 1 2 | 0 1 4", "0 0 1 2 | 0 1 4"),
     ("dsc", "chain eq 1", "chain eq 5"),
     ("dsc", "chain eq 1", "chain eq -1"),
     ("dsc", "4 5 7 9", "4 5 7 -1"),

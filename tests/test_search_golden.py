@@ -22,8 +22,6 @@ from celltopo.complexes import CellChain, partial_graph, walk
 from celltopo.deformation import detour_sequence, search_contraction
 from celltopo.separation import flatten_path
 
-from test_flatness_oracle import lattice_sphere
-
 
 def _record(trace):
     if trace is None:
@@ -36,7 +34,7 @@ def _facet_rings(n: int):
     """The 8-cycle around the centre of the facets x = 0, x = n, y = 0 and
     y = n of the lattice sphere bounding [0, n]^3, each walked from its
     smallest vertex toward its smaller neighbour."""
-    space, _ = lattice_sphere(n)
+    space, _ = gen.lattice_sphere(3, n)
     points = [p for p in itertools.product(range(n + 1), repeat=3)
               if 0 in p or n in p]
     rings = {}
