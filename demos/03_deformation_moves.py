@@ -14,8 +14,8 @@ from celltopo.complexes import CellChain
 from celltopo.deformation import (are_gradually_varied,
                                   are_side_gradually_varied, crosses_over,
                                   decompose_minimal_moves, detour_sequence,
-                                  search_contraction, verify_contraction,
-                                  xor_sum)
+                                  search_contraction, single_cell_move,
+                                  verify_contraction, xor_sum)
 
 # A two-quad shift on a grid decomposes into two single-cell moves.
 grid = generators.strip_grid(4, 3)
@@ -36,6 +36,14 @@ c = CellChain.path(tg, [tv(0, 1), tv(1, 1), tv(2, 1)])
 diag = CellChain.path(tg, [tv(0, 0), tv(1, 1), tv(2, 2)])
 print("diagonal crosses over:", crosses_over(tg, c, diag))
 print("side-gradually varied:", are_side_gradually_varied(tg, c, diag))
+
+# One rule for both argument orders: on the octahedron, the cycle 0-1-2-3
+# moved over the face (0, 1, 4) keeps to one side of it either way round.
+octa = generators.octahedron()
+square = CellChain.path(octa, [0, 1, 2, 3], closed=True)
+moved = single_cell_move(octa, square, (2, (0, 1, 4)))
+print("octahedron move crosses over:", crosses_over(octa, square, moved),
+      crosses_over(octa, moved, square))
 
 # The tetrahedron detour: from the arc 0-1-2 to the arc 0-2 without
 # touching the face {0,1,2}, over the three remaining faces.

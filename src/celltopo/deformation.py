@@ -11,8 +11,9 @@ cofaces of the current curve's edges and skip every other cell of their
 pool.  When the cell's loop meets the curve in one arc, the XorSum is a
 splice: the curve's arc is replaced by the loop's other arc, read off
 the loop and the curve's vertex order without rebuilding the curve from
-its edges.  Side variation additionally forbids cross-overs, which are
-detected through orientation tags in the links of shared vertices.
+its edges.  Side variation additionally forbids cross-overs: a stretch
+of edges both curves share that one curve enters and leaves on opposite
+sides of the other, read in the oriented links of the stretch's ends.
 """
 
 from __future__ import annotations
@@ -378,38 +379,35 @@ def _oriented_link_cycle(space: DiscreteSpace, v: int) -> tuple:
     for cid in space.cells_containing(v, 2):
         loop = space.cells[cid].loop
         i = loop.index(v)
-        arc = loop[i + 1:] + loop[:i]
-        arcs.append(arc)
-    starts = {}
-    for arc in arcs:
-        starts[arc[0]] = arc
-    cycle = []
-    arc = arcs[0]
-    for _ in range(len(arcs)):
+        arcs.append(loop[i + 1:] + loop[:i])
+    if not arcs:
+        return ()
+    starts = {arc[0]: arc for arc in arcs}
+    cycle, arc = [], arcs[0]
+    for _ in arcs:
         cycle.extend(arc[:-1])
-        nxt = starts.get(arc[-1])
-        if nxt is None:
+        arc = starts.get(arc[-1])
+        if arc is None:
             raise PreconditionError("link of vertex %d is not a cycle" % v)
-        arc = nxt
     if arc is not arcs[0] or len(cycle) != len(set(cycle)):
         raise PreconditionError("link of vertex %d is not a single cycle" % v)
     return tuple(cycle)
 
 
-def _on_directed_arc(cycle: tuple, start: int, stop: int, probe: int) -> bool:
-    """Is ``probe`` strictly inside the directed walk start -> stop?"""
+def _inside_arc(space: DiscreteSpace, v: int, start: int, stop: int,
+                probe: int) -> bool:
+    """Is ``probe`` strictly inside the directed walk start -> stop around
+    the oriented link cycle of v?"""
+    cycle = _oriented_link_cycle(space, v)
+    try:
+        i, j, k = cycle.index(start), cycle.index(stop), cycle.index(probe)
+    except ValueError:
+        u = next(u for u in (start, stop, probe) if u not in cycle)
+        raise PreconditionError("link of vertex %d misses curve vertex %d: "
+                                "their edge lies in no 2-cell" % (v, u)) \
+            from None
     n = len(cycle)
-    i = cycle.index(start)
-    j = 1
-    while True:
-        cur = cycle[(i + j) % n]
-        if cur == stop:
-            return False
-        if cur == probe:
-            return True
-        j += 1
-        if j > n:
-            raise InputError("probe vertex not on the link cycle")
+    return 0 < (k - i) % n < (j - i) % n
 
 
 def _neighbors_on(chain: CellChain, idx: int):
@@ -421,13 +419,16 @@ def _neighbors_on(chain: CellChain, idx: int):
 
 
 def crosses_over(space: DiscreteSpace, c: CellChain, cp: CellChain) -> bool:
-    """Transversal intersection: the second curve enters and leaves a shared
-    stretch on opposite sides of the first.
+    """Transversal intersection: at some shared stretch one curve enters
+    and leaves on opposite sides of the other.
 
-    Each maximal shared stretch is compared through orientation tags in the
-    links of its first and last vertex; opposite tags mean the second curve
-    pierced the first.  The second curve's travel direction over a stretch
-    is normalized per stretch, so reversed parametrizations agree.
+    A stretch is a maximal run of vertices joined by edges both curves use
+    (a shared vertex on no shared edge is a stretch of one vertex).  At a
+    stretch p..q, c runs a -> p .. q -> t and cp leaves it toward a' at p
+    and t' at q; the curves cross there when a' and t' lie on different
+    sides of c, read in the oriented links of p and q.  Stretches at an
+    open end of either curve are touches.  The answer does not depend on
+    the argument order, the curves' directions or a closed curve's start.
     """
     if space.top_dim != 2:
         raise PreconditionError("cross-over detection needs a 2-complex")
@@ -436,73 +437,39 @@ def crosses_over(space: DiscreteSpace, c: CellChain, cp: CellChain) -> bool:
                                 "complex")
     _require_curve(c)
     _require_curve(cp)
-    if len(c.verts) < 2 or len(cp.verts) < 2:
-        return False
-    posc = {v: i for i, v in enumerate(c.verts)}
+    return any(_crossings(space, c, cp))
+
+
+def _crossings(space: DiscreteSpace, c: CellChain, cp: CellChain):
+    """Yield ``(p, q)`` for each stretch p..q, along c, where cp crosses c."""
     poscp = {v: i for i, v in enumerate(cp.verts)}
-    for piece, forward in _shared_pieces(c, cp, poscp):
-        p, q = piece[0], piece[-1]
-        a, bnext = _neighbors_on(c, posc[p])
-        sprev, t = _neighbors_on(c, posc[q])
-        if len(piece) >= 2:
-            bnext = piece[1]
-            sprev = piece[-2]
-        if forward:
-            ap, _ = _neighbors_on(cp, poscp[p])
-            _, tp = _neighbors_on(cp, poscp[q])
-        else:
-            _, ap = _neighbors_on(cp, poscp[p])
-            tp, _ = _neighbors_on(cp, poscp[q])
-        if None in (a, t, ap, tp, bnext, sprev):
+    n, last = len(c.verts), -1
+    for i, p in enumerate(c.verts):
+        if i <= last or p not in poscp:
             continue
-        if ap == a or tp == t:
+        a, b = _neighbors_on(c, i)
+        around_p = _neighbors_on(cp, poscp[p])
+        if a is None or a in around_p:
+            # an open end of c, or not the first vertex of its stretch
             continue
-        side_in = _on_directed_arc(_oriented_link_cycle(space, p),
-                                   a, bnext, ap)
-        side_out = _on_directed_arc(_oriented_link_cycle(space, q),
-                                    sprev, t, tp)
-        if side_in != side_out:
-            return True
-    return False
-
-
-def _shared_pieces(c: CellChain, cp: CellChain, poscp: dict) -> list:
-    """Shared vertex stretches of c, split so each is contiguous on cp as
-    well; yields (piece, cp-travels-forward) pairs."""
-    shared = set(c.verts) & set(cp.verts)
-    m = len(cp.verts)
-
-    def step(last, cur):
-        d = poscp[cur] - poscp[last]
-        if cp.closed:
-            d %= m
-            if d == 1:
-                return 1
-            if d == m - 1:
-                return -1
-            return 0
-        return d if d in (1, -1) else 0
-
-    pieces = []
-    cur: list = []
-    direction = 0
-    for v in c.verts:
-        if v not in shared:
-            if cur:
-                pieces.append((cur, direction >= 0))
-            cur, direction = [], 0
+        # walk the stretch to q, at position ``last`` on c (mod n)
+        last, q, around_q = i, p, around_p
+        while True:
+            s, t = _neighbors_on(c, last % n)
+            if t is None or t not in around_q:
+                break
+            last, q = last + 1, t
+            around_q = _neighbors_on(cp, poscp[q])
+        # cp's neighbours off the stretch (both of them when p == q, where
+        # b is t and s is a, neither a neighbour on cp)
+        x, y = around_p
+        ap = y if x == b else x
+        x, y = around_q
+        tp = x if y == s else y
+        if None in (t, ap, tp):
             continue
-        if cur:
-            d = step(cur[-1], v)
-            if d != 0 and (direction == 0 or d == direction):
-                cur.append(v)
-                direction = d
-                continue
-            pieces.append((cur, direction >= 0))
-        cur, direction = [v], 0
-    if cur:
-        pieces.append((cur, direction >= 0))
-    return pieces
+        if _inside_arc(space, p, a, b, ap) != _inside_arc(space, q, s, t, tp):
+            yield p, q
 
 
 def are_side_gradually_varied(space: DiscreteSpace, c: CellChain,
