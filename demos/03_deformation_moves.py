@@ -66,8 +66,8 @@ contraction = search_contraction(octa, equator, 1, 8)
 print("contraction steps:", [s.verts for s in contraction.steps])
 print("verified:", bool(verify_contraction(octa, equator, 1, contraction)))
 
-# A torus meridian is essential: the bounded search comes back empty,
-# which is inconclusive by contract but expected here.
+# A torus meridian is essential: both cells on its first edge flood to
+# each other, so the cycle bounds no side and no contraction exists.
 torus = generators.torus_grid(4, 4)
 meridian = generators.torus_meridian(torus, 4)
 print("meridian contraction within budget 5:",

@@ -13,7 +13,12 @@ splice: the curve's arc is replaced by the loop's other arc, read off
 the loop and the curve's vertex order without rebuilding the curve from
 its edges.  Side variation additionally forbids cross-overs: a stretch
 of edges both curves share that one curve enters and leaves on opposite
-sides of the other, read in the oriented links of the stretch's ends.
+sides of the other, read in the oriented links of the stretch's ends (a
+boundary vertex's link path is closed by a sentinel for the outside).
+A cycle on a surface contracts by construction: its smaller side is
+dissolved one cell per move toward a cell at the anchor, so the result
+within a step budget is exact; above dimension 2 a bounded search over
+single-cell moves looks for one.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 from .complexes import (CellChain, CheckReport, DiscreteSpace, edge_key,
                         face_counts, walk)
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, UnsupportedConfiguration
 
 MOVE_GRADUAL = "gradual"
 MOVE_MINIMAL = "minimal"
@@ -373,8 +378,15 @@ def realizing_cells(space: DiscreteSpace, c1: CellChain, c2: CellChain):
 # -- cross-over detection ---------------------------------------------------
 
 
+_OUTSIDE = -1
+
+
 def _oriented_link_cycle(space: DiscreteSpace, v: int) -> tuple:
-    """The link of v as a directed vertex cycle, oriented by the 2-cells."""
+    """The link of v as a directed vertex cycle, oriented by the 2-cells.
+
+    At a boundary vertex the link is a path; one more arc, through the
+    sentinel ``_OUTSIDE`` (no vertex id), closes it, so any two link
+    vertices still split the others into two sides."""
     arcs = []
     for cid in space.cells_containing(v, 2):
         loop = space.cells[cid].loop
@@ -388,9 +400,30 @@ def _oriented_link_cycle(space: DiscreteSpace, v: int) -> tuple:
         cycle.extend(arc[:-1])
         arc = starts.get(arc[-1])
         if arc is None:
-            raise PreconditionError("link of vertex %d is not a cycle" % v)
+            return _closed_link_path(v, arcs, starts)
     if arc is not arcs[0] or len(cycle) != len(set(cycle)):
         raise PreconditionError("link of vertex %d is not a single cycle" % v)
+    return tuple(cycle)
+
+
+def _closed_link_path(v: int, arcs: list, starts: dict) -> tuple:
+    """The link path of a boundary vertex v, closed by an arc through
+    ``_OUTSIDE`` from its last vertex back to its first."""
+    ends = {arc[-1] for arc in arcs}
+    heads = [arc[0] for arc in arcs if arc[0] not in ends]
+    tails = [arc[-1] for arc in arcs if arc[-1] not in starts]
+    if len(heads) != 1 or len(tails) != 1:
+        raise PreconditionError("link of vertex %d is not a cycle or a path"
+                                % v)
+    closing = (tails[0], _OUTSIDE, heads[0])
+    starts = {**starts, tails[0]: closing}
+    cycle, arc = [], closing
+    for _ in range(len(arcs) + 1):
+        cycle.extend(arc[:-1])
+        arc = starts[arc[-1]]
+    if arc is not closing or len(cycle) != len(set(cycle)):
+        raise PreconditionError("link of vertex %d is not a cycle or a path"
+                                % v)
     return tuple(cycle)
 
 
@@ -590,15 +623,107 @@ def _curve_key(chain: CellChain):
 
 def search_contraction(space: DiscreteSpace, cycle: CellChain, p: int,
                        step_budget: int):
-    """Bounded iterative-deepening search for a contraction of the cycle
-    to p.  Returns a verified trace, or None (inconclusive) when the
-    budget runs out."""
+    """A contraction of the cycle to p in at most ``step_budget``
+    single-cell moves, checked by ``verify_contraction``; None when there
+    is none (on a surface) or none was found (above dimension 2).
+
+    On a surface the trace is the paper's construction, not a search.
+    The cells on a cycle edge each flood their side of the cycle; a flood
+    stops once it holds more than ``step_budget`` cells, or when it
+    reaches the other start cell, as the cycle then separates nothing.
+    The sides found, the smaller first, go to
+    ``separation.contract_to_cell`` with the side's smallest cell at p
+    that has an edge on the cycle as the seed; each removal is one
+    single-cell move, and the last takes the seed's boundary to p.  A side
+    the contraction does not cover leaves the other.  None is exact: the
+    cells of any contraction by single-cell moves sum, mod 2, to a 2-chain
+    bounded by the cycle, which holds a start cell and its whole side, so
+    no trace has fewer moves than the smaller side has cells.  The work
+    grows with ``step_budget``, not with the surface.
+
+    Above dimension 2 the search deepens over single-cell moves, depth 1
+    to ``step_budget``: a state tries the cofaces of the curve's edges,
+    keeps p and brings back no dropped vertex, and the goal is a 2-cell
+    bounded by the curve.
+    """
     _require_curve(cycle)
     if not cycle.closed:
         raise InputError("contraction applies to closed curves")
     if p not in cycle.verts:
         raise InputError("anchor %d is not on the cycle" % p)
+    if space.top_dim == 2:
+        found = _contract_on_surface(space, cycle, p, step_budget)
+    else:
+        found = _deepening_search(space, cycle, p, step_budget)
+    if found is None:
+        return None
+    steps, moves = found
+    trace = DeformationTrace((cycle,) + steps, moves, MOVE_SIDE_GRADUAL)
+    report = verify_contraction(space, cycle, p, trace)
+    if not report:
+        raise PreconditionError("search produced an invalid trace: %s"
+                                % "; ".join(report.problems))
+    return trace
 
+
+def _contract_on_surface(space: DiscreteSpace, cycle: CellChain, p: int,
+                         step_budget: int):
+    """``(steps, moves)`` after the cycle, contracting its smaller side
+    within the budget; None when no side is within it or none contracts."""
+    # separation builds on this module, so its contraction is imported late
+    from .separation import contract_to_cell
+    barrier = frozenset(cycle.cells)
+    # the first cycle edge in the most 2-cells: two, or one on a rim
+    starts = max((space.cofaces(e) for e in cycle.cells), key=len)
+    sides = [_side(space, s, barrier, set(starts) - {s}, step_budget)
+             for s in starts]
+    for side in sorted((s for s in sides if s is not None), key=len):
+        seed = min((c for c in side if p in c[1] and
+                    not barrier.isdisjoint(space.cells[c].boundary)),
+                   default=None)
+        if seed is None:
+            continue
+        try:
+            removed = [r.cell for r in
+                       contract_to_cell(space, side, cycle, seed).removals]
+        except UnsupportedConfiguration:
+            continue
+        steps = [cycle]
+        for cell in removed:
+            steps.append(single_cell_move(space, steps[-1], cell))
+            if steps[-1] is None:
+                break
+        else:
+            return (tuple(steps[1:]) + (point_chain(space, p),),
+                    tuple(frozenset((c,)) for c in removed + [seed]))
+    return None
+
+
+def _side(space: DiscreteSpace, start, barrier: frozenset, stop: set,
+          limit: int):
+    """The top cells reached from ``start`` through faces outside
+    ``barrier``; None once it holds more than ``limit`` cells or reaches a
+    cell of ``stop``."""
+    side, seen = [start], {start}
+    for cur in side:
+        for f in space.cells[cur].boundary:
+            if f in barrier:
+                continue
+            for n in space.cofaces(f):
+                if n in stop:
+                    return None
+                if n not in seen:
+                    seen.add(n)
+                    side.append(n)
+        if len(side) > limit:
+            return None
+    return side
+
+
+def _deepening_search(space: DiscreteSpace, cycle: CellChain, p: int,
+                      step_budget: int):
+    """``(steps, moves)`` after the cycle from an iterative-deepening search
+    over single-cell moves; None when every depth up to the budget fails."""
     def goal_cell(chain):
         # a 2-cell bounded by the chain is a coface of each of its edges
         # with as many vertices as the chain
@@ -613,14 +738,7 @@ def search_contraction(space: DiscreteSpace, cycle: CellChain, p: int,
         found = _contract_dfs(space, cycle, p, depth, goal_cell,
                               frozenset(), set())
         if found is not None:
-            steps, moves = found
-            trace = DeformationTrace((cycle,) + steps, moves,
-                                     MOVE_SIDE_GRADUAL)
-            report = verify_contraction(space, cycle, p, trace)
-            if not report:
-                raise PreconditionError("search produced an invalid trace: "
-                                        "%s" % "; ".join(report.problems))
-            return trace
+            return found
     return None
 
 

@@ -26,6 +26,7 @@ from celltopo.deformation import (_contract_dfs, bfs_moves,
                                   search_contraction, single_cell_move)
 
 from test_flatness_oracle import PROPS, SPACES, _count_calls, simple_walks
+from test_search_golden import _facet_rings
 
 LATTICE4 = gen.lattice_sphere(3, 4)
 
@@ -185,9 +186,12 @@ def test_contraction_state_tries_only_cofaces(monkeypatch):
 
 
 def test_contraction_search_tries_only_cofaces(monkeypatch):
-    space, equator = LATTICE4
+    # the ring around the centre of the x = 0 facet bounds four cells, so
+    # the search contracts that side by four moves
+    space, rings = _facet_rings(4)
+    ring = rings["facet-x0"]
     calls = _count_calls(monkeypatch, deformation, "single_cell_move")
-    search_contraction(space, equator, equator.verts[0], 3)
+    search_contraction(space, ring, ring.verts[0], 6)
     assert calls
     for _, chain, cell in calls:
         assert cell in _touching(space, chain)

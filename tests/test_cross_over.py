@@ -2,8 +2,9 @@
 
 ``crosses_over`` reads each stretch of edges the two curves share and asks
 whether the second curve enters and leaves it on opposite sides of the
-first.  On drawn curves of lattice spheres, the octahedron, a torus and
-the tetrahedron it must be symmetric, blind to the curves' directions and
+first.  On drawn curves of lattice spheres, the octahedron, a torus, the
+tetrahedron and a grid strip, whose boundary vertices have a path for a
+link, it must be symmetric, blind to the curves' directions and
 starts, never true across one single-cell move, and on a 2-sphere two
 closed curves must cross at an even number of stretches.  Contraction
 searches, whose every step is checked by ``verify_contraction``, must
@@ -17,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from celltopo import generators as gen
-from celltopo.complexes import CellChain, DiscreteSpace, edge_key, walk
+from celltopo.complexes import (CellChain, DiscreteSpace, edge_key,
+                                face_counts, walk)
 from celltopo.deformation import (_cell_moves, _crossings,
+                                  are_side_gradually_varied,
                                   cell_boundary_chain, crosses_over,
                                   search_contraction, single_cell_move,
                                   verify_contraction)
@@ -32,7 +35,8 @@ SPHERES = {
     "octahedron": gen.octahedron(),
     "tetrahedron": gen.simplex_boundary(3),
 }
-SPACES = dict(SPHERES, torus=gen.torus_grid(4, 5))
+SPACES = dict(SPHERES, torus=gen.torus_grid(4, 5),
+              strip=gen.strip_grid(3, 3))
 
 
 def _moves(space, chain):
@@ -143,6 +147,18 @@ def test_tetrahedron_arcs_cross_both_ways():
     assert crosses_over(tet, cp, c)
 
 
+def test_stretch_ending_on_the_strip_boundary_does_not_cross():
+    # the stretch 4-8 of the strip's column j = 0 ends at boundary
+    # vertices, whose links are paths: c' leaves it toward 5 and 9, on the
+    # strip's side of the column both times
+    strip = gen.strip_grid(3, 3)
+    c = CellChain.path(strip, [0, 4, 8, 12])
+    cp = CellChain.path(strip, [5, 4, 8, 9])
+    assert not crosses_over(strip, c, cp)
+    assert not crosses_over(strip, cp, c)
+    assert are_side_gradually_varied(strip, c, cp)
+
+
 def test_curve_edge_in_no_two_cell_is_a_precondition_error(octa):
     # vertex 6 hangs off vertex 0 by an edge that lies in no 2-cell, so 6
     # is not on the link cycle of 0
@@ -212,3 +228,23 @@ def test_ring_from_a_face_corner_contracts():
         assert anchor in step.verts
         dropped |= prev.vertex_set() - step.vertex_set()
         assert not dropped & step.vertex_set()
+
+
+def test_every_small_blob_of_a_strip_contracts():
+    # the boundary cycles of every one- and two-cell blob of the strip,
+    # from each vertex; cycles along the strip's rim share stretches that
+    # end at boundary vertices
+    strip = gen.strip_grid(3, 3)
+    cells = strip.cells_of_dim(2)
+    blobs = [[c] for c in cells] + [[a, b] for a, b in
+                                    itertools.combinations(cells, 2)
+                                    if b in strip.cell_neighbors(a)]
+    assert len(blobs) == 9 + 12
+    for blob in blobs:
+        ring = walk([f[1] for f, k in face_counts(strip, blob).items()
+                     if k == 1])
+        cycle = CellChain.path(strip, ring, closed=True)
+        for p in ring:
+            trace = search_contraction(strip, cycle, p, len(blob))
+            assert len(trace.moves) == len(blob)
+            assert verify_contraction(strip, cycle, p, trace)

@@ -1,10 +1,13 @@
 """Recorded outputs of the single-cell move searches.
 
-``search_contraction``, ``detour_sequence`` and ``flatten_path`` each
-explore single-cell moves in a fixed order, so the trace a search returns
-depends on that order.  The traces below were recorded from the
-reference implementation, which tried every 2-cell of the space in each
-search state; a faster candidate scan must return them unchanged.
+``detour_sequence`` and ``flatten_path`` explore single-cell moves in a
+fixed order, so the trace a search returns depends on that order.  Their
+traces below were recorded from the reference implementation, which
+tried every 2-cell of the space in each search state; a faster candidate
+scan must return them unchanged.  On a surface ``search_contraction``
+builds its trace: the smaller side of the cycle contracts toward its
+smallest cell at the anchor, one removal per move, and the torus
+meridian, which bounds no side, gives None.
 
 A trace is recorded as its steps, each ``(closed, vertex walk)``, and its
 moves, each the sorted cells of one move.  To re-record after an intended
@@ -118,70 +121,70 @@ EXPECTED = {"detour cube3": {"moves": [[(2, (0, 1, 4, 5))],
                                                    (False,
                                                     (9, 8, 12, 13, 15, 7))]},
                               "path": (False, (9, 8, 12, 13, 15, 7))},
-            "search S(3,4)-facet-x0": {"moves": [[(2, (7, 8, 12, 13))],
-                                                 [(2, (12, 13, 17, 18))],
+            "search S(3,4)-facet-x0": {"moves": [[(2, (12, 13, 17, 18))],
+                                                 [(2, (7, 8, 12, 13))],
                                                  [(2, (11, 12, 16, 17))],
                                                  [(2, (6, 7, 11, 12))]],
                                        "steps": [(True,
                                                   (6, 7, 8, 13, 18, 17, 16,
                                                    11)),
                                                  (True,
-                                                  (6, 7, 12, 13, 18, 17, 16,
+                                                  (6, 7, 8, 13, 12, 17, 16,
                                                    11)),
                                                  (True,
                                                   (6, 7, 12, 17, 16, 11)),
                                                  (True, (6, 7, 12, 11)),
                                                  (False, (6,))]},
-            "search S(3,4)-facet-x4": {"moves": [[(2, (80, 81, 85, 86))],
-                                                 [(2, (85, 86, 90, 91))],
+            "search S(3,4)-facet-x4": {"moves": [[(2, (85, 86, 90, 91))],
+                                                 [(2, (80, 81, 85, 86))],
                                                  [(2, (84, 85, 89, 90))],
                                                  [(2, (79, 80, 84, 85))]],
                                        "steps": [(True,
                                                   (79, 80, 81, 86, 91, 90, 89,
                                                    84)),
                                                  (True,
-                                                  (79, 80, 85, 86, 91, 90, 89,
+                                                  (79, 80, 81, 86, 85, 90, 89,
                                                    84)),
                                                  (True,
                                                   (79, 80, 85, 90, 89, 84)),
                                                  (True, (79, 80, 85, 84)),
                                                  (False, (79,))]},
-            "search S(3,4)-facet-y0": {"moves": [[(2, (27, 28, 43, 44))],
-                                                 [(2, (43, 44, 59, 60))],
+            "search S(3,4)-facet-y0": {"moves": [[(2, (43, 44, 59, 60))],
+                                                 [(2, (27, 28, 43, 44))],
                                                  [(2, (42, 43, 58, 59))],
                                                  [(2, (26, 27, 42, 43))]],
                                        "steps": [(True,
                                                   (26, 27, 28, 44, 60, 59, 58,
                                                    42)),
                                                  (True,
-                                                  (26, 27, 43, 44, 60, 59, 58,
+                                                  (26, 27, 28, 44, 43, 59, 58,
                                                    42)),
                                                  (True,
                                                   (26, 27, 43, 59, 58, 42)),
                                                  (True, (26, 27, 43, 42)),
                                                  (False, (26,))]},
-            "search S(3,4)-facet-y4": {"moves": [[(2, (38, 39, 54, 55))],
-                                                 [(2, (54, 55, 70, 71))],
+            "search S(3,4)-facet-y4": {"moves": [[(2, (54, 55, 70, 71))],
+                                                 [(2, (38, 39, 54, 55))],
                                                  [(2, (53, 54, 69, 70))],
                                                  [(2, (37, 38, 53, 54))]],
                                        "steps": [(True,
                                                   (37, 38, 39, 55, 71, 70, 69,
                                                    53)),
                                                  (True,
-                                                  (37, 38, 54, 55, 71, 70, 69,
+                                                  (37, 38, 39, 55, 54, 70, 69,
                                                    53)),
                                                  (True,
                                                   (37, 38, 54, 70, 69, 53)),
                                                  (True, (37, 38, 54, 53)),
                                                  (False, (37,))]},
-            "search octahedron-equator": {"moves": [[(2, (0, 1, 2))],
+            "search octahedron-equator": {"moves": [[(2, (0, 3, 4))],
+                                                    [(2, (0, 1, 4))],
                                                     [(2, (0, 2, 3))],
-                                                    [(2, (0, 3, 4))],
-                                                    [(2, (0, 1, 4))]],
+                                                    [(2, (0, 1, 2))]],
                                           "steps": [(True, (1, 2, 3, 4)),
-                                                    (True, (0, 1, 4, 3, 2)),
-                                                    (True, (0, 1, 4, 3)),
-                                                    (True, (0, 1, 4)),
+                                                    (True, (0, 3, 2, 1, 4)),
+                                                    (True, (0, 1, 2, 3)),
+                                                    (True, (0, 1, 2)),
                                                     (False, (1,))]},
             "search torus-meridian": None}
 
