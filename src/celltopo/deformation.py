@@ -18,7 +18,10 @@ boundary vertex's link path is closed by a sentinel for the outside).
 A cycle on a surface contracts by construction: its smaller side is
 dissolved one cell per move toward a cell at the anchor, so the result
 within a step budget is exact; above dimension 2 a bounded search over
-single-cell moves looks for one.
+single-cell moves looks for one.  One move shortens a curve by at most
+the longest 2-cell loop less two vertices, so the search cuts a curve
+too long to shrink to a 2-cell in the moves it has left; the cut drops
+only states that cannot reach a goal, so it changes no result.
 """
 
 from __future__ import annotations
@@ -644,7 +647,14 @@ def search_contraction(space: DiscreteSpace, cycle: CellChain, p: int,
     Above dimension 2 the search deepens over single-cell moves, depth 1
     to ``step_budget``: a state tries the cofaces of the curve's edges,
     keeps p and brings back no dropped vertex, and the goal is a 2-cell
-    bounded by the curve.
+    bounded by the curve.  With m the most vertices of a 2-cell loop, a
+    move by a cell of n <= m vertices sharing k <= n - 1 edges with the
+    curve changes its length by n - 2k >= 2 - n, so it shortens the curve
+    by at most m - 2 vertices, and a goal curve has at most m.  A state
+    with ``depth`` steps left and more than m + (depth - 1)(m - 2)
+    vertices is cut before any move.  The cut is exact: it drops only
+    subtrees that would return None, so the order of the search, and the
+    trace or None it returns, are those of the search without it.
     """
     _require_curve(cycle)
     if not cycle.closed:
@@ -734,8 +744,10 @@ def _deepening_search(space: DiscreteSpace, cycle: CellChain, p: int,
                 return cid
         return None
 
+    # the longest 2-cell loop: a goal curve has at most this many vertices
+    longest = max((len(c[1]) for c in space.cells_of_dim(2)), default=0)
     for depth in range(1, step_budget + 1):
-        found = _contract_dfs(space, cycle, p, depth, goal_cell,
+        found = _contract_dfs(space, cycle, p, depth, goal_cell, longest,
                               frozenset(), set())
         if found is not None:
             return found
@@ -743,11 +755,17 @@ def _deepening_search(space: DiscreteSpace, cycle: CellChain, p: int,
 
 
 def _contract_dfs(space: DiscreteSpace, cur: CellChain, p: int, depth: int,
-                  goal_cell, banned: frozenset, visited: set):
+                  goal_cell, longest: int, banned: frozenset, visited: set):
+    """``(steps, moves)`` from ``cur`` to p in at most ``depth`` steps, the
+    last a goal cell; None when there is none.  A curve of more than
+    ``longest + (depth - 1) * (longest - 2)`` vertices cannot shrink to a
+    goal cell in the moves left (see ``search_contraction``), so it is cut
+    before any move."""
     cell = goal_cell(cur)
     if cell is not None:
         return (point_chain(space, p),), (frozenset((cell,)),)
-    if depth <= 1:
+    if depth <= 1 or \
+            len(cur.verts) > longest + (depth - 1) * (longest - 2):
         return None
     key = (_curve_key(cur), banned, depth)
     if key in visited:
@@ -761,7 +779,7 @@ def _contract_dfs(space: DiscreteSpace, cur: CellChain, p: int, depth: int,
         if p not in vs or vs & banned:
             continue
         nbanned = banned | frozenset(cur_vs - vs)
-        sub = _contract_dfs(space, nxt, p, depth - 1, goal_cell,
+        sub = _contract_dfs(space, nxt, p, depth - 1, goal_cell, longest,
                             nbanned, visited)
         if sub is not None:
             steps, moves = sub

@@ -11,24 +11,33 @@ The reference below calls ``single_cell_move`` on every cell of the pool;
 both must give the same ``(cell, curve)`` list, in the same order, on
 drawn open and closed curves.  The work bounds check that a contraction
 search state tries no other cell and that no search walks an edge set.
+
+Above dimension 2 the contraction search cuts a curve too long to shrink
+to a goal cell in the moves it has left.  The reference below is the
+search without that cut; both must return the same trace, or None, on
+drawn cycles of the 3-sphere ``S(4, 3)`` and of the 5-sphere bounding
+the 6-simplex.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 from celltopo import deformation
 from celltopo import generators as gen
 from celltopo.complexes import CellChain, edge_key, walk
-from celltopo.deformation import (_contract_dfs, bfs_moves,
-                                  cell_boundary_chain, edges_to_curve,
-                                  intersection_is_attaching_arc,
+from celltopo.deformation import (_cell_moves, _contract_dfs, _curve_key,
+                                  bfs_moves, cell_boundary_chain,
+                                  edges_to_curve,
+                                  intersection_is_attaching_arc, point_chain,
                                   search_contraction, single_cell_move)
 
 from test_flatness_oracle import PROPS, SPACES, _count_calls, simple_walks
 from test_search_golden import _facet_rings
 
 LATTICE4 = gen.lattice_sphere(3, 4)
+SPHERES = {"S(4,3)": gen.lattice_sphere(4, 3)[0],
+           "simplex6": gen.simplex_boundary(6)}
 
 
 def reference_moves(space, curve, pool) -> list:
@@ -41,14 +50,16 @@ def reference_moves(space, curve, pool) -> list:
 
 
 @st.composite
-def moved_cycles(draw):
+def moved_cycles(draw, spaces=None):
     """A space and a closed curve: the equator of the lattice sphere
-    bounding [0, 4]^3, or a drawn 2-cell's boundary, moved by up to six
+    bounding [0, 4]^3, or a drawn 2-cell's boundary (in a space drawn from
+    ``spaces`` when given, and then never the equator), moved by up to six
     drawn single-cell moves that keep it closed."""
-    if draw(st.booleans()):
+    if spaces is None and draw(st.booleans()):
         space, curve = LATTICE4
     else:
-        space = SPACES[draw(st.sampled_from(sorted(SPACES)))]
+        spaces = spaces or SPACES
+        space = spaces[draw(st.sampled_from(sorted(spaces)))]
         curve = cell_boundary_chain(
             space, draw(st.sampled_from(space.cells_of_dim(2))))
     for _ in range(draw(st.integers(0, 6))):
@@ -172,17 +183,50 @@ def _touching(space, curve) -> list:
                    for cid in space.cofaces((1, e))})
 
 
+def _six_ring(space):
+    """The boundary of the first two 2-cells of ``space`` that share an
+    edge, a closed curve of six vertices."""
+    first = space.cells_of_dim(2)[0]
+    return next(nxt for _, nxt in
+                _cell_moves(space, cell_boundary_chain(space, first))
+                if nxt.closed)
+
+
 def test_contraction_state_tries_only_cofaces(monkeypatch):
-    # one state at depth 2: its children only test for the goal, so every
-    # move tried is one of this curve's
-    space, equator = LATTICE4
+    # one state at depth 2 with a curve short enough for one move to reach
+    # a square: its children only test for the goal, so every move tried
+    # is one of this curve's
+    space = LATTICE4[0]
+    ring = _six_ring(space)
+    assert len(ring.verts) == 6
     calls = _count_calls(monkeypatch, deformation, "single_cell_move")
-    _contract_dfs(space, equator, equator.verts[0], 2, lambda chain: None,
+    _contract_dfs(space, ring, ring.verts[0], 2, lambda chain: None, 4,
                   frozenset(), set())
     tried = [cell for _, chain, cell in calls]
-    assert all(chain is equator for _, chain, _ in calls)
-    assert tried == _touching(space, equator)
+    assert all(chain is ring for _, chain, _ in calls)
+    assert tried == _touching(space, ring)
     assert len(tried) < len(space.cells_of_dim(2)) // 2
+
+
+def test_contraction_state_too_long_tries_no_move(monkeypatch):
+    # with depth - 1 moves left a curve of squares shrinks by at most
+    # 2 (depth - 1) vertices: the 16-vertex equator cannot get down to a
+    # square in five moves, so at depth 6 it tries no move even when every
+    # other curve would be a goal, and at depth 7 it is expanded
+    space, equator = LATTICE4
+    p = equator.verts[0]
+
+    def goal(chain):
+        return None if chain is equator else "goal"
+
+    calls = _count_calls(monkeypatch, deformation, "single_cell_move")
+    assert _contract_dfs(space, equator, p, 6, goal, 4, frozenset(),
+                         set()) is None
+    assert calls == []
+    steps, moves = _contract_dfs(space, equator, p, 7, goal, 4, frozenset(),
+                                 set())
+    assert len(steps) == 2 and moves[1] == frozenset(("goal",))
+    assert calls
 
 
 def test_contraction_search_tries_only_cofaces(monkeypatch):
@@ -200,11 +244,78 @@ def test_contraction_search_tries_only_cofaces(monkeypatch):
 def test_searches_walk_no_edge_set(monkeypatch):
     # the moves splice: neither a contraction search nor a breadth-first
     # search orders an edge set into a walk
-    space, equator = LATTICE4
+    space, rings = _facet_rings(3, 4)
+    ring = rings["facet-x0"]
     walks = _count_calls(monkeypatch, deformation, "walk")
     moves = _count_calls(monkeypatch, deformation, "single_cell_move")
-    assert search_contraction(space, equator, equator.verts[0], 3) is None
+    assert search_contraction(space, ring, ring.verts[0], 6) is not None
+    assert moves
+    space, equator = LATTICE4
     bfs_moves(space, equator, space.cells_of_dim(2),
               lambda steps, moves: None, 2)
     assert len(moves) > 1000
     assert walks == []
+
+
+# -- the contraction search without the length cut ----------------------------
+
+
+def reference_search(space, cycle, p, step_budget):
+    """``(steps, moves)`` after the cycle from the iterative-deepening
+    search over single-cell moves that expands every state; None when
+    every depth up to the budget fails."""
+    def goal_cell(chain):
+        for cid in space.cofaces((1, edge_key(*chain.verts[:2]))):
+            if len(cid[1]) != len(chain.verts) or p not in cid[1]:
+                continue
+            if {b[1] for b in space.cells[cid].boundary} == chain.edge_set():
+                return cid
+        return None
+
+    for depth in range(1, step_budget + 1):
+        found = reference_dfs(space, cycle, p, depth, goal_cell,
+                              frozenset(), set())
+        if found is not None:
+            return found
+    return None
+
+
+def reference_dfs(space, cur, p, depth, goal_cell, banned, visited):
+    cell = goal_cell(cur)
+    if cell is not None:
+        return (point_chain(space, p),), (frozenset((cell,)),)
+    if depth <= 1:
+        return None
+    key = (_curve_key(cur), banned, depth)
+    if key in visited:
+        return None
+    visited.add(key)
+    cur_vs = cur.vertex_set()
+    for cid, nxt in _cell_moves(space, cur):
+        if not nxt.closed:
+            continue
+        vs = nxt.vertex_set()
+        if p not in vs or vs & banned:
+            continue
+        nbanned = banned | frozenset(cur_vs - vs)
+        sub = reference_dfs(space, nxt, p, depth - 1, goal_cell, nbanned,
+                            visited)
+        if sub is not None:
+            steps, moves = sub
+            return (nxt,) + steps, (frozenset((cid,)),) + moves
+    return None
+
+
+@PROPS
+@given(moved_cycles(SPHERES), st.data())
+def test_contraction_search_matches_the_unpruned_search(case, data):
+    space, cycle = case
+    p = data.draw(st.sampled_from(cycle.verts))
+    budget = data.draw(st.integers(1, 4))
+    found = reference_search(space, cycle, p, budget)
+    trace = search_contraction(space, cycle, p, budget)
+    event("found" if found else "none")
+    if found is None:
+        assert trace is None
+    else:
+        assert (trace.steps[1:], trace.moves) == found

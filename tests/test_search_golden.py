@@ -7,7 +7,11 @@ tried every 2-cell of the space in each search state; a faster candidate
 scan must return them unchanged.  On a surface ``search_contraction``
 builds its trace: the smaller side of the cycle contracts toward its
 smallest cell at the anchor, one removal per move, and the torus
-meridian, which bounds no side, gives None.
+meridian, which bounds no side, gives None.  Above dimension 2 it
+searches; the traces and the Nones on the 3-sphere ``S(4, 3)``, on
+the 5-sphere bounding the 6-simplex and on a graph were recorded from
+the search before it cut curves too long to reach a goal cell, and the
+cut must keep them.
 
 A trace is recorded as its steps, each ``(closed, vertex walk)``, and its
 moves, each the sorted cells of one move.  To re-record after an intended
@@ -15,13 +19,15 @@ change, run this file as a script from the repository root with ``src``
 on ``PYTHONPATH``; it prints the table.
 """
 
+import functools
 import itertools
 import pprint
 
 import pytest
 
 from celltopo import generators as gen
-from celltopo.complexes import CellChain, partial_graph, walk
+from celltopo.complexes import (CellChain, DiscreteSpace, partial_graph,
+                                walk)
 from celltopo.deformation import detour_sequence, search_contraction
 from celltopo.separation import flatten_path
 
@@ -33,24 +39,43 @@ def _record(trace):
             "moves": [sorted(m) for m in trace.moves]}
 
 
-def _facet_rings(n: int):
-    """The 8-cycle around the centre of the facets x = 0, x = n, y = 0 and
-    y = n of the lattice sphere bounding [0, n]^3, each walked from its
+def _points(d: int, n: int) -> list:
+    """The points of the lattice sphere bounding [0, n]^d, in vertex
+    order."""
+    return [p for p in itertools.product(range(n + 1), repeat=d)
+            if 0 in p or n in p]
+
+
+def _ring(space, points, on_ring):
+    """The cycle through the points ``on_ring`` picks, walked from its
     smallest vertex toward its smaller neighbour."""
-    space, _ = gen.lattice_sphere(3, n)
-    points = [p for p in itertools.product(range(n + 1), repeat=3)
-              if 0 in p or n in p]
+    ring = [i for i, p in enumerate(points) if on_ring(p)]
+    return CellChain.path(space, walk(partial_graph(space, ring)),
+                          closed=True)
+
+
+def _facet_rings(n: int, d: int = 3):
+    """The 8-cycle around the centre of the facets x = 0, x = n, y = 0 and
+    y = n of the lattice sphere bounding [0, n]^d, in the plane of the
+    facet's first two free axes."""
+    space, _ = gen.lattice_sphere(d, n)
+    points = _points(d, n)
+    c = n // 2
     rings = {}
     for axis, value in ((0, 0), (0, n), (1, 0), (1, n)):
-        ring = [i for i, p in enumerate(points) if p[axis] == value and
-                max(abs(x - n // 2) for a, x in enumerate(p) if a != axis)
-                == 1]
+        free = [a for a in range(d) if a != axis]
+
+        def on_ring(p, axis=axis, value=value, free=free):
+            return p[axis] == value and \
+                all(p[a] == c for a in free[2:]) and \
+                max(abs(p[a] - c) for a in free[:2]) == 1
+
         rings["facet-%s%d" % ("xy"[axis], value)] = \
-            CellChain.path(space, walk(partial_graph(space, ring)),
-                           closed=True)
+            _ring(space, points, on_ring)
     return space, rings
 
 
+@functools.lru_cache(maxsize=None)
 def _search_cases():
     octa = gen.octahedron()
     torus = gen.torus_grid(4, 4)
@@ -60,6 +85,25 @@ def _search_cases():
     space, rings = _facet_rings(4)
     for name, ring in rings.items():
         cases["S(3,4)-" + name] = (space, ring, ring.verts[0], 6)
+    # above dimension 2: two facet rings of the 3-sphere S(4, 3), and the
+    # ring around a 2 x 3 rectangle of squares, which needs six moves
+    space, rings = _facet_rings(3, 4)
+    for name in ("facet-x0", "facet-x3"):
+        ring = rings[name]
+        cases["S(4,3)-" + name] = (space, ring, ring.verts[0], 6)
+    rect = _ring(space, _points(4, 3), lambda p: p[0] == 0 and p[3] == 1 and
+                 p[1] <= 2 and (p[1] in (0, 2) or p[2] in (0, 3)))
+    cases["S(4,3)-rect2x3"] = (space, rect, rect.verts[0], 4)
+    # the 5-sphere bounding the 6-simplex: triangles, and every pair of
+    # vertices is an edge, so any vertex sequence is a cycle
+    s6 = gen.simplex_boundary(6)
+    for length, budget in ((5, 3), (6, 4), (7, 4), (7, 5)):
+        cycle = CellChain.path(s6, range(length), closed=True)
+        cases["simplex6-%d-b%d" % (length, budget)] = (s6, cycle, 0, budget)
+    # a graph: no 2-cell, so no move and no goal
+    graph = DiscreteSpace(3, [(0, 1), (1, 2), (0, 2)], {})
+    cases["graph-triangle"] = (graph, CellChain.path(graph, range(3),
+                                                     closed=True), 0, 3)
     return cases
 
 
@@ -177,6 +221,37 @@ EXPECTED = {"detour cube3": {"moves": [[(2, (0, 1, 4, 5))],
                                                   (37, 38, 54, 70, 69, 53)),
                                                  (True, (37, 38, 54, 53)),
                                                  (False, (37,))]},
+            "search S(4,3)-facet-x0": {"moves": [[(2, (5, 9, 21, 25))],
+                                                 [(2, (21, 25, 37, 41))],
+                                                 [(2, (17, 21, 33, 37))],
+                                                 [(2, (1, 5, 17, 21))]],
+                                       "steps": [(True,
+                                                  (1, 5, 9, 25, 41, 37, 33,
+                                                   17)),
+                                                 (True,
+                                                  (1, 5, 21, 25, 41, 37, 33,
+                                                   17)),
+                                                 (True,
+                                                  (1, 5, 21, 37, 33, 17)),
+                                                 (True, (1, 5, 21, 17)),
+                                                 (False, (1,))]},
+            "search S(4,3)-facet-x3": {"moves": [[(2, (181, 185, 197, 201))],
+                                                 [(2, (197, 201, 213, 217))],
+                                                 [(2, (193, 197, 209, 213))],
+                                                 [(2, (177, 181, 193, 197))]],
+                                       "steps": [(True,
+                                                  (177, 181, 185, 201, 217,
+                                                   213, 209, 193)),
+                                                 (True,
+                                                  (177, 181, 197, 201, 217,
+                                                   213, 209, 193)),
+                                                 (True,
+                                                  (177, 181, 197, 213, 209,
+                                                   193)),
+                                                 (True, (177, 181, 197, 193)),
+                                                 (False, (177,))]},
+            "search S(4,3)-rect2x3": None,
+            "search graph-triangle": None,
             "search octahedron-equator": {"moves": [[(2, (0, 3, 4))],
                                                     [(2, (0, 1, 4))],
                                                     [(2, (0, 2, 3))],
@@ -186,6 +261,34 @@ EXPECTED = {"detour cube3": {"moves": [[(2, (0, 1, 4, 5))],
                                                     (True, (0, 1, 2, 3)),
                                                     (True, (0, 1, 2)),
                                                     (False, (1,))]},
+            "search simplex6-5-b3": {"moves": [[(2, (0, 1, 2))],
+                                               [(2, (0, 2, 3))],
+                                               [(2, (0, 3, 4))]],
+                                     "steps": [(True, (0, 1, 2, 3, 4)),
+                                               (True, (0, 2, 3, 4)),
+                                               (True, (0, 3, 4)),
+                                               (False, (0,))]},
+            "search simplex6-6-b4": {"moves": [[(2, (0, 1, 2))],
+                                               [(2, (0, 2, 3))],
+                                               [(2, (0, 3, 4))],
+                                               [(2, (0, 4, 5))]],
+                                     "steps": [(True, (0, 1, 2, 3, 4, 5)),
+                                               (True, (0, 2, 3, 4, 5)),
+                                               (True, (0, 3, 4, 5)),
+                                               (True, (0, 4, 5)),
+                                               (False, (0,))]},
+            "search simplex6-7-b4": None,
+            "search simplex6-7-b5": {"moves": [[(2, (0, 1, 2))],
+                                               [(2, (0, 2, 3))],
+                                               [(2, (0, 3, 4))],
+                                               [(2, (0, 4, 5))],
+                                               [(2, (0, 5, 6))]],
+                                     "steps": [(True, (0, 1, 2, 3, 4, 5, 6)),
+                                               (True, (0, 2, 3, 4, 5, 6)),
+                                               (True, (0, 3, 4, 5, 6)),
+                                               (True, (0, 4, 5, 6)),
+                                               (True, (0, 5, 6)),
+                                               (False, (0,))]},
             "search torus-meridian": None}
 
 
