@@ -94,7 +94,11 @@ def cmd_check(args) -> int:
 def cmd_flat(args) -> int:
     space, chains = _load(args.file)
     chain = _pick_chain(chains, args.chain)
-    report = is_locally_flat(space, chain)
+    try:
+        report = is_locally_flat(space, chain)
+    except (InputError, PreconditionError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_VIOLATION
     if not report:
         print("not locally flat:")
         for p in report.problems:

@@ -7,10 +7,12 @@ edges are sorted pairs, and a cell id is the pair ``(dim, sorted vertex
 tuple)``, so every iteration order in the package is deterministic.
 
 Construction enforces the structural invariants once and builds one
-incidence index: the cells of each dimension, the cells at each vertex, the
-cofaces of each cell, the neighbours of each vertex and the same-dimension
-cells sharing a face with each cell.  Afterwards a space is immutable; every
-query reads the index and is a pure function, safe to run concurrently.
+incidence index of four maps: the cells of each dimension, the cells at
+each vertex, the cofaces of each cell and the neighbours of each vertex.
+Cells sharing a face are found by one walk, from a cell's boundary faces
+to their cofaces; nothing stores that adjacency.  Afterwards a space is
+immutable; every query reads the index and is a pure function, safe to run
+concurrently.
 """
 
 from __future__ import annotations
@@ -67,12 +69,12 @@ class CellChain:
 
     Ordered dim-1 chains store the vertex walk in ``verts`` (no repetition of
     the closing vertex); their edge cells are derived.  Unordered chains store
-    cell ids only.  A single-vertex "path" has one vertex and no cells.
+    cell ids only and leave ``verts`` None.  A single-vertex "path" has one
+    vertex and no cells.
     """
 
     dim: int
     cells: tuple
-    ordered: bool = False
     closed: bool = False
     verts: tuple | None = None
 
@@ -96,8 +98,7 @@ class CellChain:
             if e not in space.edges:
                 raise InputError("path step (%d, %d) is not an edge" % (u, v))
             cells.append((1, e))
-        return CellChain(1, tuple(cells), ordered=True, closed=closed,
-                         verts=vertices)
+        return CellChain(1, tuple(cells), closed=closed, verts=vertices)
 
     @staticmethod
     def of_cells(space: "DiscreteSpace", dim: int, cell_ids, closed: bool = False) -> "CellChain":
@@ -105,7 +106,7 @@ class CellChain:
         for cid in ids:
             if cid not in space.cells or cid[0] != dim:
                 raise InputError("unknown %d-cell %r" % (dim, cid))
-        return CellChain(dim, ids, ordered=False, closed=closed)
+        return CellChain(dim, ids, closed=closed)
 
     def vertex_set(self) -> frozenset:
         if self.verts is not None:
@@ -120,8 +121,8 @@ class CellChain:
     def reversed(self) -> "CellChain":
         if self.verts is None:
             return self
-        return CellChain(self.dim, tuple(reversed(self.cells)), self.ordered,
-                         self.closed, tuple(reversed(self.verts)))
+        return CellChain(self.dim, tuple(reversed(self.cells)), self.closed,
+                         tuple(reversed(self.verts)))
 
 
 @dataclass
@@ -205,10 +206,6 @@ class DiscreteSpace:
         self._nbrs = [tuple(w for e in self.cofaces((0, (v,)))
                             for w in e[1] if w != v)
                       for v in range(n_vertices)]
-        self._adjacent = {
-            cid: tuple(sorted({n for f in c.boundary for n in self._cofaces[f]
-                               if n != cid}))
-            for cid, c in self.cells.items()}
 
         self._check_well_attachment()
         if self.top_dim == 2:
@@ -364,8 +361,9 @@ class DiscreteSpace:
 
     def cell_neighbors(self, cid: CellId) -> tuple:
         """Cells of the same dimension sharing a boundary face with ``cid``,
-        sorted."""
-        return self._adjacent[cid]
+        sorted: the cofaces of its faces, read on each call."""
+        return tuple(sorted({n for f in self.cells[cid].boundary
+                             for n in self.cofaces(f) if n != cid}))
 
 
 # -- incidence -------------------------------------------------------------
@@ -500,7 +498,7 @@ def is_minimal_cycle(space: DiscreteSpace, chain: CellChain) -> bool:
     cycle on a proper subset, and without chords every proper subset induces
     a forest of arcs.
     """
-    if chain.dim != 1 or not chain.ordered or not chain.closed:
+    if chain.dim != 1 or chain.verts is None or not chain.closed:
         raise InputError("is_minimal_cycle expects an ordered closed 1-chain")
     vs = chain.verts
     on_cycle = chain.edge_set()
@@ -548,8 +546,9 @@ def edge_set_shape(edges) -> str:
     return "cycle" if len(order) == len(edges) else "path"
 
 
-def check_regular(space: DiscreteSpace, k: int | None = None) -> CheckReport:
-    """Verify the four regularity clauses of a k-manifold candidate.
+def check_regular(space: DiscreteSpace) -> CheckReport:
+    """Verify the four regularity clauses of a k-manifold candidate, with
+    k the space's top dimension.
 
     (1) top cells pairwise connected through shared (k-1)-cells,
     (2) every (k-1)-cell lies in one or two k-cells,
@@ -557,13 +556,8 @@ def check_regular(space: DiscreteSpace, k: int | None = None) -> CheckReport:
     (4) every vertex link is connected at the (k-1)-cell level.
     Violations are reported, never raised.
     """
-    k = space.top_dim if k is None else k
+    k = space.top_dim
     report = CheckReport(True)
-    if k != space.top_dim:
-        report.add("requested dimension %d but the space has top dimension %d"
-                   % (k, space.top_dim))
-        return report
-
     top = space.cells_of_dim(k)
     for f in space.cells_of_dim(k - 1):
         n = len(space.cofaces(f))
@@ -579,10 +573,7 @@ def check_regular(space: DiscreteSpace, k: int | None = None) -> CheckReport:
     else:
         report.add("clause 1: the space has no %d-cells" % k)
 
-    # clause 3 holds by construction (top_dim is the highest registry), but
-    # confirm nothing sneaked in above k.
-    if any(c[0] > k for c in space.cells):
-        report.add("clause 3: cells above dimension %d present" % k)
+    # clause 3 holds by construction: k is the highest registry
 
     if k == 1:
         # links in a 1-manifold are vertex pairs (0-spheres); there is no
@@ -621,7 +612,7 @@ def is_discrete_curve(space: DiscreteSpace, chain: CellChain) -> bool:
 
 def orientation_of_cycle(space: DiscreteSpace, cycle: CellChain, sub_arc) -> str:
     """'cw' if ``sub_arc`` follows the cycle's stored orientation, else 'ccw'."""
-    if not (cycle.ordered and cycle.closed and cycle.verts):
+    if not (cycle.closed and cycle.verts):
         raise InputError("reference cycle must be an ordered closed chain")
     arc = tuple(sub_arc)
     if len(arc) < 2:

@@ -64,7 +64,7 @@ def xor_sum(space: DiscreteSpace, a: CellChain, b: CellChain) -> CellChain:
     # a GF(2) cycle: every face count is even, not necessarily two
     closed = bool(cells) and all(n % 2 == 0 for n in
                                  face_counts(space, cells).values())
-    return CellChain(a.dim, cells, ordered=False, closed=closed)
+    return CellChain(a.dim, cells, closed=closed)
 
 
 def _require_curve(chain: CellChain):
@@ -387,9 +387,13 @@ _OUTSIDE = -1
 def _oriented_link_cycle(space: DiscreteSpace, v: int) -> tuple:
     """The link of v as a directed vertex cycle, oriented by the 2-cells.
 
-    At a boundary vertex the link is a path; one more arc, through the
-    sentinel ``_OUTSIDE`` (no vertex id), closes it, so any two link
-    vertices still split the others into two sides."""
+    Each 2-cell at v gives one arc of the link.  At a boundary vertex the
+    arcs form a path from the one head no arc ends at to the one tail no
+    arc starts from; an arc tail -> ``_OUTSIDE`` -> head through the
+    sentinel (no vertex id) closes it, so any two link vertices still
+    split the others into two sides.  The walk starts from that closing
+    arc, or from the first arc when every arc end starts another arc; it
+    must pass every arc once and come back."""
     arcs = []
     for cid in space.cells_containing(v, 2):
         loop = space.cells[cid].loop
@@ -398,33 +402,20 @@ def _oriented_link_cycle(space: DiscreteSpace, v: int) -> tuple:
     if not arcs:
         return ()
     starts = {arc[0]: arc for arc in arcs}
+    tails = [arc[-1] for arc in arcs if arc[-1] not in starts]
+    if tails:
+        ends = {arc[-1] for arc in arcs}
+        heads = [arc[0] for arc in arcs if arc[0] not in ends]
+        if len(heads) != 1 or len(tails) != 1:
+            raise PreconditionError("link of vertex %d is not a cycle or a "
+                                    "path" % v)
+        arcs.insert(0, (tails[0], _OUTSIDE, heads[0]))
+        starts[tails[0]] = arcs[0]
     cycle, arc = [], arcs[0]
     for _ in arcs:
         cycle.extend(arc[:-1])
-        arc = starts.get(arc[-1])
-        if arc is None:
-            return _closed_link_path(v, arcs, starts)
-    if arc is not arcs[0] or len(cycle) != len(set(cycle)):
-        raise PreconditionError("link of vertex %d is not a single cycle" % v)
-    return tuple(cycle)
-
-
-def _closed_link_path(v: int, arcs: list, starts: dict) -> tuple:
-    """The link path of a boundary vertex v, closed by an arc through
-    ``_OUTSIDE`` from its last vertex back to its first."""
-    ends = {arc[-1] for arc in arcs}
-    heads = [arc[0] for arc in arcs if arc[0] not in ends]
-    tails = [arc[-1] for arc in arcs if arc[-1] not in starts]
-    if len(heads) != 1 or len(tails) != 1:
-        raise PreconditionError("link of vertex %d is not a cycle or a path"
-                                % v)
-    closing = (tails[0], _OUTSIDE, heads[0])
-    starts = {**starts, tails[0]: closing}
-    cycle, arc = [], closing
-    for _ in range(len(arcs) + 1):
-        cycle.extend(arc[:-1])
         arc = starts[arc[-1]]
-    if arc is not closing or len(cycle) != len(set(cycle)):
+    if arc is not arcs[0] or len(cycle) != len(set(cycle)):
         raise PreconditionError("link of vertex %d is not a cycle or a path"
                                 % v)
     return tuple(cycle)
@@ -573,7 +564,7 @@ def detour_sequence(space: DiscreteSpace, c0: CellChain, c1: CellChain,
 
 
 def point_chain(space: DiscreteSpace, v: int) -> CellChain:
-    return CellChain(1, (), ordered=True, closed=False, verts=(v,))
+    return CellChain.path(space, (v,))
 
 
 def verify_contraction(space: DiscreteSpace, cycle: CellChain, p: int,
@@ -609,19 +600,6 @@ def verify_contraction(space: DiscreteSpace, cycle: CellChain, p: int,
                            % (t - 1, t))
         prev = step
     return report
-
-
-def _curve_key(chain: CellChain):
-    vs = chain.verts
-    if not chain.closed:
-        return min(vs, tuple(reversed(vs)))
-    best = None
-    for seq in (vs, tuple(reversed(vs))):
-        for r in range(len(seq)):
-            rot = seq[r:] + seq[:r]
-            if best is None or rot < best:
-                best = rot
-    return best
 
 
 def search_contraction(space: DiscreteSpace, cycle: CellChain, p: int,
@@ -760,14 +738,15 @@ def _contract_dfs(space: DiscreteSpace, cur: CellChain, p: int, depth: int,
     last a goal cell; None when there is none.  A curve of more than
     ``longest + (depth - 1) * (longest - 2)`` vertices cannot shrink to a
     goal cell in the moves left (see ``search_contraction``), so it is cut
-    before any move."""
+    before any move.  Every state is a simple closed curve, which its edge
+    set fixes up to start and direction, so the edge set keys the visits."""
     cell = goal_cell(cur)
     if cell is not None:
         return (point_chain(space, p),), (frozenset((cell,)),)
     if depth <= 1 or \
             len(cur.verts) > longest + (depth - 1) * (longest - 2):
         return None
-    key = (_curve_key(cur), banned, depth)
+    key = (cur.edge_set(), banned, depth)
     if key in visited:
         return None
     visited.add(key)

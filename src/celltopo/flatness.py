@@ -36,8 +36,11 @@ def _ball(space: DiscreteSpace, p: int, i: int) -> dict:
     else:
         cells = space.cells_containing(p, i)
         near = {v for c in cells for v in c[1]}
-        far = {v for c in cells for n in space.cell_neighbors(c)
-               for v in n[1]}
+        # the cofaces of their faces: the cells at p and every i-cell
+        # sharing a face with one of them
+        nbrs = {n for c in cells for f in space.cells[c].boundary
+                for n in space.cofaces(f)}
+        far = {v for n in nbrs for v in n[1]}
     ball = dict.fromkeys(far, 2)
     ball.update(dict.fromkeys(near, 1))
     ball.pop(p, None)
@@ -52,12 +55,10 @@ def _level2_mediators(space: DiscreteSpace, p: int, q: int, i: int):
         meds.update(w for w in space.vertex_neighbors(q) if w in np_)
         return meds
     for a in space.cells_containing(p, i):
-        ba = set(space.cells[a].boundary)
-        for b in space.cell_neighbors(a):
-            if q in b[1]:
-                for f in space.cells[b].boundary:
-                    if f in ba:
-                        meds.update(f[1])
+        for f in space.cells[a].boundary:
+            for b in space.cofaces(f):
+                if q in b[1] and b != a:
+                    meds.update(f[1])
     return meds
 
 

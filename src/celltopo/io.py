@@ -246,8 +246,7 @@ def _load_complex_body(reader: _Reader):
         if cdim == 0:
             if len(idx) != 1:
                 raise InputError("chain %r: a 0-chain is one vertex" % name)
-            chains[name] = CellChain(1, (), ordered=True, closed=False,
-                                     verts=(idx[0],))
+            chains[name] = CellChain.path(space, (idx[0],))
         elif cdim == 1:
             es = [edge_list[i] for i in idx]
             chains[name] = _edges_to_chain(space, es, name)

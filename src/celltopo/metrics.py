@@ -7,8 +7,9 @@ edge (graph) distance.  Within a single cell any two vertices count as
 distance 1 at that cell's level.
 
 Both distances walk the space's incidence index, built with the space:
-the vertex neighbours at level 1 and the face adjacency of i-cells above
-it, so every query is a pure read.
+the vertex neighbours at level 1, and above it each i-cell's boundary
+faces and their cofaces, the i-cells that share a face with it.  Every
+query is a pure read.
 """
 
 from __future__ import annotations
@@ -58,17 +59,19 @@ def k_cell_distance(space: DiscreteSpace, x: int, y: int, i: int):
         return UNREACHABLE
     if targets.intersection(sources):
         return 1
-    # breadth first, so the first target reached is a nearest one
+    # breadth first through shared faces, so the first target reached is a
+    # nearest one
     dist = {c: 1 for c in sources}
     queue = deque(sources)
     while queue:
         c = queue.popleft()
-        for n in space.cell_neighbors(c):
-            if n not in dist:
-                if n in targets:
-                    return dist[c] + 1
-                dist[n] = dist[c] + 1
-                queue.append(n)
+        for f in space.cells[c].boundary:
+            for n in space.cofaces(f):
+                if n not in dist:
+                    if n in targets:
+                        return dist[c] + 1
+                    dist[n] = dist[c] + 1
+                    queue.append(n)
     return UNREACHABLE
 
 

@@ -148,12 +148,13 @@ def _intersection_with(space: DiscreteSpace, path: CellChain, s_verts,
 
 
 def flatten_path(space: DiscreteSpace, s: CellChain, p_i: CellChain,
-                 p_iminus1: CellChain, budget: int | None = None):
+                 p_iminus1: CellChain):
     """Pivot a path until its intersection with ``s`` is locally flat in s,
     then bridge from the previous path without touching s.
 
     Pivots are XorSum moves with 2-cells of s; each must keep the original
-    entry vertex and reduce the violation count.  The returned bridge is a
+    entry vertex and reduce the violation count, and there are at most as
+    many as the space has 2-cells.  The returned bridge is a
     side-gradual trace from ``p_iminus1`` to the new path whose
     intermediate steps stay clear of s.
     """
@@ -188,8 +189,7 @@ def flatten_path(space: DiscreteSpace, s: CellChain, p_i: CellChain,
     report = x_report(cur)
     if report:
         return p_i, DeformationTrace((), (), MOVE_SIDE_GRADUAL)
-    if budget is None:
-        budget = len(space.cells_of_dim(2))
+    budget = len(space.cells_of_dim(2))
     while not report:
         if budget <= 0:
             raise BudgetExhausted("pivot budget exhausted before the "
@@ -413,26 +413,37 @@ def contract_to_cell(space: DiscreteSpace, component, s: CellChain,
 
 
 def _region_distances(space: DiscreteSpace, seed, region: set) -> dict:
+    """Breadth-first cell distances from ``seed``, 1 at the seed, through
+    faces shared by cells of ``region``."""
     dist = {seed: 1}
     queue = deque([seed])
     while queue:
         cur = queue.popleft()
-        for nxt in space.cell_neighbors(cur):
-            if nxt in region and nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                queue.append(nxt)
+        for f in space.cells[cur].boundary:
+            for nxt in space.cofaces(f):
+                if nxt in region and nxt not in dist:
+                    dist[nxt] = dist[cur] + 1
+                    queue.append(nxt)
     return dist
 
 
 def _lengthens(space: DiscreteSpace, dist: dict, cell) -> bool:
     """Pop ``cell`` from the seed distances ``dist``; True when the removal
     lengthens another distance, which is exactly when a neighbour one
-    farther than ``cell`` has no neighbour left at ``cell``'s distance."""
+    farther than ``cell`` has no neighbour left at ``cell``'s distance.
+    Neighbours share a face; the walk from a cell to its faces' cofaces
+    meets the cell too, whose distance never matches."""
     d = dist.pop(cell, None)
-    near = space.cell_neighbors
-    return d is not None and any(
-        dist.get(n) == d + 1 and d not in map(dist.get, near(n))
-        for n in near(cell))
+    if d is None:
+        return False
+    cells, cofaces = space.cells, space.cofaces
+    for f in cells[cell].boundary:
+        for n in cofaces(f):
+            if dist.get(n) == d + 1 and not any(
+                    dist.get(m) == d for g in cells[n].boundary
+                    for m in cofaces(g)):
+                return True
+    return False
 
 
 def invert_trace(trace: ContractionTrace) -> ContractionTrace:

@@ -26,9 +26,8 @@ from hypothesis import strategies as st
 from celltopo import deformation
 from celltopo import generators as gen
 from celltopo.complexes import CellChain, edge_key, walk
-from celltopo.deformation import (_cell_moves, _contract_dfs, _curve_key,
-                                  bfs_moves, cell_boundary_chain,
-                                  edges_to_curve,
+from celltopo.deformation import (_cell_moves, _contract_dfs, bfs_moves,
+                                  cell_boundary_chain, edges_to_curve,
                                   intersection_is_attaching_arc, point_chain,
                                   search_contraction, single_cell_move)
 
@@ -278,6 +277,20 @@ def reference_search(space, cycle, p, step_budget):
         if found is not None:
             return found
     return None
+
+
+def _curve_key(chain):
+    """A curve's vertex walk, least over its starts and directions."""
+    vs = chain.verts
+    if not chain.closed:
+        return min(vs, tuple(reversed(vs)))
+    best = None
+    for seq in (vs, tuple(reversed(vs))):
+        for r in range(len(seq)):
+            rot = seq[r:] + seq[:r]
+            if best is None or rot < best:
+                best = rot
+    return best
 
 
 def reference_dfs(space, cur, p, depth, goal_cell, banned, visited):

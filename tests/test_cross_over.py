@@ -6,7 +6,9 @@ first.  On drawn curves of lattice spheres, the octahedron, a torus, the
 tetrahedron and a grid strip, whose boundary vertices have a path for a
 link, it must be symmetric, blind to the curves' directions and
 starts, never true across one single-cell move, and on a 2-sphere two
-closed curves must cross at an even number of stretches.  Contraction
+closed curves must cross at an even number of stretches.  The oriented
+link of every vertex of those spaces must equal that of a reference
+built in two passes, and a pinch vertex's link is refused.  Contraction
 searches, whose every step is checked by ``verify_contraction``, must
 return traces that pass it.
 """
@@ -20,7 +22,8 @@ from hypothesis import strategies as st
 from celltopo import generators as gen
 from celltopo.complexes import (CellChain, DiscreteSpace, edge_key,
                                 face_counts, walk)
-from celltopo.deformation import (_cell_moves, _crossings,
+from celltopo.deformation import (_OUTSIDE, _cell_moves, _crossings,
+                                  _oriented_link_cycle,
                                   are_side_gradually_varied,
                                   cell_boundary_chain, crosses_over,
                                   search_contraction, single_cell_move,
@@ -87,8 +90,8 @@ def _rotated(chain, r):
     if not chain.closed:
         return chain
     r %= len(chain.verts)
-    return CellChain(1, chain.cells[r:] + chain.cells[:r], True, True,
-                     chain.verts[r:] + chain.verts[:r])
+    return CellChain(1, chain.cells[r:] + chain.cells[:r], closed=True,
+                     verts=chain.verts[r:] + chain.verts[:r])
 
 
 @settings(PROPS, max_examples=300)
@@ -177,6 +180,68 @@ def test_curve_edge_in_no_two_cell_is_a_precondition_error(octa):
     for x, y in ((c, cp), (cp, c)):
         with pytest.raises(PreconditionError, match="link of vertex 6"):
             crosses_over(space, x, y)
+
+
+# -- oriented link cycles -----------------------------------------------------
+
+
+def reference_link_cycle(space, v):
+    """The oriented link of v built in two passes: a walk from the first
+    arc, and on meeting an arc end no arc starts from, the link path
+    closed through ``_OUTSIDE`` and walked from that closing arc."""
+    arcs = []
+    for cid in space.cells_containing(v, 2):
+        loop = space.cells[cid].loop
+        i = loop.index(v)
+        arcs.append(loop[i + 1:] + loop[:i])
+    if not arcs:
+        return ()
+    starts = {arc[0]: arc for arc in arcs}
+    cycle, arc = [], arcs[0]
+    for _ in arcs:
+        cycle.extend(arc[:-1])
+        arc = starts.get(arc[-1])
+        if arc is None:
+            return reference_link_path(v, arcs, starts)
+    if arc is not arcs[0] or len(cycle) != len(set(cycle)):
+        raise PreconditionError("link of vertex %d is not a single cycle" % v)
+    return tuple(cycle)
+
+
+def reference_link_path(v, arcs, starts):
+    ends = {arc[-1] for arc in arcs}
+    heads = [arc[0] for arc in arcs if arc[0] not in ends]
+    tails = [arc[-1] for arc in arcs if arc[-1] not in starts]
+    if len(heads) != 1 or len(tails) != 1:
+        raise PreconditionError("link of vertex %d is not a cycle or a path"
+                                % v)
+    closing = (tails[0], _OUTSIDE, heads[0])
+    starts = {**starts, tails[0]: closing}
+    cycle, arc = [], closing
+    for _ in range(len(arcs) + 1):
+        cycle.extend(arc[:-1])
+        arc = starts[arc[-1]]
+    if arc is not closing or len(cycle) != len(set(cycle)):
+        raise PreconditionError("link of vertex %d is not a cycle or a path"
+                                % v)
+    return tuple(cycle)
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_link_cycles_match_reference(name):
+    space = SPACES[name]
+    for v in range(space.n_vertices):
+        assert _oriented_link_cycle(space, v) == reference_link_cycle(space, v)
+
+
+def test_pinch_vertex_link_is_a_precondition_error():
+    # two triangles that share only vertex 0: its link is two separate arcs
+    pinch = DiscreteSpace(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)],
+                          {2: [(0, 1, 2), (0, 3, 4)]})
+    with pytest.raises(PreconditionError, match="not a cycle or a path"):
+        _oriented_link_cycle(pinch, 0)
+    with pytest.raises(PreconditionError):
+        reference_link_cycle(pinch, 0)
 
 
 # -- contraction searches -----------------------------------------------------

@@ -320,7 +320,7 @@ def order_sheet(space, sheet):
     induced = [e for e in space.edges if e[0] in sheet and e[1] in sheet]
     if len(sheet) == 1:
         v = next(iter(sheet))
-        return CellChain(1, (), ordered=True, closed=False, verts=(v,))
+        return CellChain.path(space, (v,))
     from celltopo.deformation import edges_to_curve
     return edges_to_curve(space, induced)
 

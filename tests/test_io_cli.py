@@ -51,7 +51,7 @@ def test_complex_round_trip(octa, simplex4, cube3, torus44):
 
 
 def test_point_chain_round_trip(octa):
-    point = CellChain(1, (), ordered=True, closed=False, verts=(3,))
+    point = CellChain.path(octa, (3,))
     text = dio.save_complex(octa, {"pt": point})
     _, chains = dio.load_complex(text)
     assert chains["pt"].verts == (3,)
@@ -247,6 +247,17 @@ def test_cmd_flat_negative(tmp_path, capsys):
 
 def test_cmd_flat_missing_chain(octa_file, capsys):
     assert cli.main(["flat", octa_file, "--chain", "nope"]) == 1
+
+
+def test_cmd_flat_chain_of_top_dimension_is_an_error(tmp_path, octa, capsys):
+    faces = CellChain.of_cells(octa, 2, octa.cells_of_dim(2)[:2])
+    path = tmp_path / "faces.dsc"
+    path.write_text(dio.save_complex(octa, {"faces": faces}))
+    assert cli.main(["flat", str(path), "--chain", "faces"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: chain dimension 2 must be below the space " \
+        "dimension 2\n"
 
 
 def test_cmd_separate(octa_file, simplex4_file, torus_file, tmp_path,

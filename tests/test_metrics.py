@@ -1,11 +1,19 @@
+import functools
 import itertools
 
+import networkx as nx
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from celltopo import generators as gen
 from celltopo.complexes import DiscreteSpace
 from celltopo.errors import InputError, PreconditionError
 from celltopo.metrics import (UNREACHABLE, graph_distance, k_cell_distance,
                               verify_distance_equality)
+
+from test_construction_oracle import glued_polygons
+from test_flatness_oracle import PROPS
 
 
 def brute_cell_distance(space, x, y, i, cap=6):
@@ -105,3 +113,69 @@ def test_metric_axioms(octa, cube3):
                     assert d[x, y] == d[y, x]
                     for z in range(n):
                         assert d[x, z] <= d[x, y] + d[y, z]
+
+
+# -- against networkx on the dual graph ------------------------------------------
+
+
+LATTICES = {"S(3,3)": gen.lattice_sphere(3, 3)[0],
+            "S(4,2)": gen.lattice_sphere(4, 2)[0],
+            "S(5,1)": gen.lattice_sphere(5, 1)[0],
+            "torus": gen.torus_grid(4, 4),
+            "strip": gen.strip_grid(3, 3)}
+
+
+@functools.lru_cache(maxsize=None)
+def dual_graph(space, i):
+    """The i-cells, joined when their boundaries share a face."""
+    cells = space.cells_of_dim(i)
+    dual = nx.Graph()
+    dual.add_nodes_from(cells)
+    dual.add_edges_from(
+        (a, b) for a, b in itertools.combinations(cells, 2)
+        if set(space.cells[a].boundary) & set(space.cells[b].boundary))
+    return dual
+
+
+def dual_distances(space, x, i) -> dict:
+    """The i-cell distance from x to every other vertex it reaches: one
+    more than the shortest dual path from a cell at x to a cell at y."""
+    sources = space.cells_containing(x, i)
+    if not sources:
+        return {}
+    lengths = nx.multi_source_dijkstra_path_length(dual_graph(space, i),
+                                                   set(sources))
+    out = {}
+    for cell, d in lengths.items():
+        for y in cell[1]:
+            out[y] = min(out.get(y, UNREACHABLE), d + 1)
+    out.pop(x, None)
+    return out
+
+
+def _check_against_dual(space, x):
+    for i in range(2, space.top_dim + 1):
+        want = dual_distances(space, x, i)
+        for y in range(space.n_vertices):
+            if y != x:
+                assert k_cell_distance(space, x, y, i) == \
+                    want.get(y, UNREACHABLE), (x, y, i)
+
+
+@PROPS
+@given(st.data())
+def test_cell_distance_matches_dual_graph_on_lattices(data):
+    space = LATTICES[data.draw(st.sampled_from(sorted(LATTICES)))]
+    _check_against_dual(space, data.draw(
+        st.integers(0, space.n_vertices - 1)))
+
+
+@PROPS
+@given(glued_polygons(), st.data())
+def test_cell_distance_matches_dual_graph_on_drawn_spaces(case, data):
+    n, edges, polygons = case
+    try:
+        space = DiscreteSpace(n, edges, {2: [tuple(p) for p in polygons]})
+    except InputError:
+        assume(False)
+    _check_against_dual(space, data.draw(st.integers(0, n - 1)))
