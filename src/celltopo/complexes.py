@@ -7,10 +7,11 @@ edges are sorted pairs, and a cell id is the pair ``(dim, sorted vertex
 tuple)``, so every iteration order in the package is deterministic.
 
 Construction enforces the structural invariants once and builds one
-incidence index of four maps: the cells of each dimension, the cells at
-each vertex, the cofaces of each cell and the neighbours of each vertex.
-Cells sharing a face are found by one walk, from a cell's boundary faces
-to their cofaces; nothing stores that adjacency.  Afterwards a space is
+incidence index of three maps: the cells of each dimension, the cells at
+each vertex and the cofaces of each cell.  Cells sharing a face are found
+by one walk, from a cell's boundary faces to their cofaces, at every
+dimension: a vertex's neighbours are the far ends of its edges, its
+cofaces.  Nothing stores either adjacency.  Afterwards a space is
 immutable; every query reads the index and is a pure function, safe to run
 concurrently.
 """
@@ -202,10 +203,6 @@ class DiscreteSpace:
         for index in (self._dims, self._at_vertex, self._cofaces):
             for cs in index.values():
                 cs.sort()
-        # a vertex's edges, sorted, end at its neighbours in ascending order
-        self._nbrs = [tuple(w for e in self.cofaces((0, (v,)))
-                            for w in e[1] if w != v)
-                      for v in range(n_vertices)]
 
         self._check_well_attachment()
         if self.top_dim == 2:
@@ -344,8 +341,10 @@ class DiscreteSpace:
         return self._dims.get(d, [])
 
     def vertex_neighbors(self, v: int) -> tuple:
-        """The vertices joined to ``v`` by an edge, sorted."""
-        return self._nbrs[v]
+        """The vertices joined to ``v`` by an edge, sorted: the far ends of
+        its edges (its cofaces, sorted), read on each call."""
+        return tuple(w for e in self.cofaces((0, (v,))) for w in e[1]
+                     if w != v)
 
     def cells_containing(self, v: int, dim: int | None = None) -> list:
         """The cells having ``v`` as a vertex (only the ``dim``-cells when
@@ -370,18 +369,16 @@ class DiscreteSpace:
 
 
 def _induces_connected(space: DiscreteSpace, vs) -> bool:
-    """True iff the vertex set ``vs`` induces a connected subgraph of G."""
-    vs = set(vs)
-    start = next(iter(vs))
-    seen = {start}
-    stack = [start]
+    """True iff the small vertex set ``vs`` induces a connected subgraph
+    of G; each pair is looked up in the edge set."""
+    rest = set(vs)
+    stack = [rest.pop()]
     while stack:
         v = stack.pop()
-        for w in space.vertex_neighbors(v):
-            if w in vs and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == vs
+        joined = [w for w in rest if edge_key(v, w) in space.edges]
+        rest.difference_update(joined)
+        stack.extend(joined)
+    return not rest
 
 
 def face_counts(space: DiscreteSpace, cells) -> dict:

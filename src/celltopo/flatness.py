@@ -10,8 +10,10 @@ a flat chain; flatness and collar existence decide each other.
 
 The verdict only asks whether a distance is 1, 2 or more, so no distance
 is computed in full: each chain vertex gets one radius-2 ball per level
-(its vertices at distance 1 or 2), only the chain vertices inside a ball
-are checked as partners, and each mediator's link is built once per check.
+(its vertices at distance 1 or 2, with the mediators of those at 2), made
+by one walk from the cells at the vertex to their faces' cofaces at every
+level.  Only the chain vertices inside a ball are checked as partners, and
+each mediator's link is read once per check, straight from the index.
 """
 
 from __future__ import annotations
@@ -20,46 +22,39 @@ import itertools
 from dataclasses import dataclass
 
 from .complexes import (CellChain, CheckReport, DiscreteSpace, closure,
-                        edge_key, face_components, face_counts, link,
+                        edge_key, face_components, face_counts,
                         partial_graph, walk)
 from .errors import InputError, PreconditionError
 
 
-def _ball(space: DiscreteSpace, p: int, i: int) -> dict:
-    """The vertices at i-cell distance 1 or 2 from ``p``, with that distance.
-
-    Every vertex left out is at distance 3 or more, or unreachable.
+def _ball(space: DiscreteSpace, p: int, i: int):
+    """The vertices at i-cell distance 1 or 2 from ``p``, with that distance,
+    and the mediators of each one at 2: the vertices of every face of a cell
+    at p that also bounds a cell holding it.  Every vertex left out is at
+    distance 3 or more, or unreachable.
     """
-    if i == 1:
-        near = space.vertex_neighbors(p)
-        far = {w for v in near for w in space.vertex_neighbors(v)}
-    else:
-        cells = space.cells_containing(p, i)
-        near = {v for c in cells for v in c[1]}
-        # the cofaces of their faces: the cells at p and every i-cell
-        # sharing a face with one of them
-        nbrs = {n for c in cells for f in space.cells[c].boundary
-                for n in space.cofaces(f)}
-        far = {v for n in nbrs for v in n[1]}
-    ball = dict.fromkeys(far, 2)
-    ball.update(dict.fromkeys(near, 1))
-    ball.pop(p, None)
-    return ball
+    cells = space.cells_containing(p, i)
+    near = {v for c in cells for v in c[1]}
+    meds: dict = {}
+    # a face through p has only cells at p as cofaces
+    for f in {f for c in cells for f in space.cells[c].boundary
+              if p not in f[1]}:
+        for n in space.cofaces(f):
+            for v in n[1]:
+                if v not in near:
+                    meds.setdefault(v, set()).update(f[1])
+    near.discard(p)
+    return dict.fromkeys(near, 1) | dict.fromkeys(meds, 2), meds
 
 
-def _level2_mediators(space: DiscreteSpace, p: int, q: int, i: int):
-    """Vertices on the shared (i-1)-cell of any length-2 i-cell path p..q."""
-    meds = set()
-    if i == 1:
-        np_ = set(space.vertex_neighbors(p))
-        meds.update(w for w in space.vertex_neighbors(q) if w in np_)
-        return meds
-    for a in space.cells_containing(p, i):
-        for f in space.cells[a].boundary:
-            for b in space.cofaces(f):
-                if q in b[1] and b != a:
-                    meds.update(f[1])
-    return meds
+def _chain_in_link(space: DiscreteSpace, m: int, chain_verts: frozenset,
+                   chain_edges: frozenset):
+    """The chain vertices and sorted chain edges of link(m), m off the
+    chain: the vertices of the cells at m and the edges of their closure."""
+    at = space.cells_containing(m)
+    ivs = frozenset(v for c in at for v in c[1] if v in chain_verts)
+    ies = sorted(e for _, e in closure(space, at, 1) if e in chain_edges)
+    return ivs, ies
 
 
 def _link_on_chain(space: DiscreteSpace, mediator: int,
@@ -71,9 +66,7 @@ def _link_on_chain(space: DiscreteSpace, mediator: int,
     when the curve is closed and fully seen; both count here.  The mediator
     is a focal point for a pair when both lie in the returned set.
     """
-    lk = link(space, {mediator})
-    ivs = frozenset(v for v in lk.vertices() if v in chain_verts)
-    ies = sorted(e for e in lk.edges() if e in chain_edges)
+    ivs, ies = _chain_in_link(space, mediator, chain_verts, chain_edges)
     if not ies:
         return None
     first = face_components(space, [(1, e) for e in ies])[0]
@@ -104,12 +97,13 @@ def subset_flatness(space: DiscreteSpace, verts, edges,
     report = CheckReport(True)
     for p in sorted(verts):
         balls = {i: _ball(space, p, i) for i in levels}
-        partners = sorted({q for ball in balls.values() for q in ball
+        partners = sorted({q for ball, _ in balls.values() for q in ball
                            if q > p and q in verts})
         for q in partners:
             if edge_key(p, q) in edges:
                 continue
-            dists = {i: ball[q] for i, ball in balls.items() if q in ball}
+            dists = {i: ball[q] for i, (ball, _) in balls.items()
+                     if q in ball}
             twos = sorted(i for i, d in dists.items() if d == 2)
             if not twos:
                 bad = min(dists, key=lambda i: (dists[i], i))
@@ -117,7 +111,7 @@ def subset_flatness(space: DiscreteSpace, verts, edges,
                            "adjacency in the chain" % (p, q, bad, dists[bad]))
                 continue
             for i, m in ((i, m) for i in twos
-                         for m in sorted(_level2_mediators(space, p, q, i))
+                         for m in sorted(balls[i][1][q])
                          if m not in verts):
                 if m not in focal:
                     focal[m] = _link_on_chain(space, m, verts, edges)
@@ -177,13 +171,11 @@ def find_focal_points(space: DiscreteSpace, chain: CellChain) -> list:
     for a in range(space.n_vertices):
         if a in verts:
             continue
-        lk = link(space, {a})
-        ies = sorted(e for e in lk.edges() if e in edges)
-        ivs = sorted(v for v in lk.vertices() if v in verts)
+        ivs, ies = _chain_in_link(space, a, verts, edges)
         if len(ies) < 2:
             continue
         arc = walk(ies)
-        if arc is None or set(ivs) != set(arc):
+        if arc is None or ivs != set(arc):
             continue
         out.append((a, arc))
     return out

@@ -12,9 +12,12 @@ A complex file is line oriented and self describing::
     v0 v1 .. | b0 b1 .. (C lines; boundary indexes edges for i=2,
                          otherwise the previous cell list)
     chain <name> <dim>
-    i0 i1 ..            (cell indices at that dimension; vertex ids for 0)
+    i0 i1 ..            (cell indices at that dimension; vertex ids for 0;
+                         blank for an empty chain)
 
 A trace file embeds the complex it refers to, then the removal sequence.
+Nothing but blank lines may follow the last chain of a complex file or the
+last step of a trace file.
 Serialization is canonical: sorted edges, cells sorted by vertex tuple,
 chains sorted by name, so loading and saving again is byte identical.
 """
@@ -62,6 +65,9 @@ def save_complex(space: DiscreteSpace, chains: dict | None = None) -> str:
     for name in sorted(chains or {}):
         chain = chains[name]
         degenerate = chain.dim == 0 or (chain.dim == 1 and not chain.cells)
+        if degenerate and not chain.vertex_set():
+            raise InputError("chain %r: a %d-chain needs a cell or a vertex"
+                             % (name, chain.dim))
         lines.append("chain %s %d" % (name, 0 if degenerate else chain.dim))
         if degenerate:
             lines.append(" ".join(str(v) for v in sorted(chain.vertex_set())))
@@ -82,15 +88,15 @@ def save_trace(space: DiscreteSpace, s: CellChain,
     k = space.top_dim
     top_index = {cid: i for i, cid in enumerate(space.cells_of_dim(k))}
     face_index = {cid: i for i, cid in enumerate(space.cells_of_dim(k - 1))}
-    lines = ["DSCTRACE %d" % FORMAT_VERSION, body.rstrip("\n"),
-             "trace %s %d" % (trace.direction, len(trace.removals)),
+    lines = ["trace %s %d" % (trace.direction, len(trace.removals)),
              "seed %d" % top_index[trace.seed]]
     for r in trace.removals:
         lines.append("step %d | %s | %s" % (
             top_index[r.cell],
             " ".join(str(face_index[f]) for f in sorted(r.replaced)),
             " ".join(str(face_index[f]) for f in sorted(r.replacement))))
-    return "\n".join(lines) + "\n"
+    # the body keeps its last newline: a blank last line is an empty chain
+    return "DSCTRACE %d\n" % FORMAT_VERSION + body + "\n".join(lines) + "\n"
 
 
 # -- loading -----------------------------------------------------------------
@@ -102,8 +108,13 @@ class _Reader:
         self.pos = 0
 
     def next(self, what: str) -> str:
+        """The next non-blank line."""
         while self.pos < len(self.lines) and not self.lines[self.pos]:
             self.pos += 1
+        return self.line(what)
+
+    def line(self, what: str) -> str:
+        """The next line as it is, blank or not."""
         if self.pos >= len(self.lines):
             raise ParseError("unexpected end of file, expected %s" % what,
                              len(self.lines))
@@ -119,6 +130,13 @@ class _Reader:
     @property
     def line_no(self) -> int:
         return self.pos
+
+    def end(self, what: str):
+        """Raise at the first line left that is not blank."""
+        for i in range(self.pos, len(self.lines)):
+            if self.lines[i]:
+                raise ParseError("unexpected %r after the %s"
+                                 % (self.lines[i], what), i + 1)
 
 
 def _ints(text: str, reader: _Reader) -> list:
@@ -156,7 +174,9 @@ def _indices(text: str, reader: _Reader, what: str, bound: int) -> list:
 
 def load_complex(text: str):
     """Parse a DSC document into a space plus its named chains."""
-    space, chains, _ = _load_complex_body(_Reader(text))
+    reader = _Reader(text)
+    space, chains, _ = _load_complex_body(reader)
+    reader.end("complex")
     return space, chains
 
 
@@ -234,8 +254,9 @@ def _load_complex_body(reader: _Reader):
         name = parts[0]
         cdim = _int(parts[1], reader, "chain dimension", dim + 1)
         bound = n if cdim == 0 else len(rows[cdim])
-        idx = _indices(reader.next("chain indices"), reader, "chain index",
-                       bound)
+        # an empty chain's index line is blank
+        idx = _indices(reader.line("chain indices"), reader,
+                       "chain index", bound)
         raw_chains.append((name, cdim, idx))
 
     space = DiscreteSpace(n, edges, cells_by_dim, boundaries,
@@ -298,6 +319,7 @@ def load_trace(text: str):
         replacement = frozenset(faces[i] for i in _indices(
             bits[2], reader, "face index", len(faces)))
         removals.append(Removal(cell, replaced, replacement))
+    reader.end("trace")
     first = _submanifold_cells(space, chains["surface"])
     trace = ContractionTrace(seed, first, tuple(removals), direction)
     replay(trace)

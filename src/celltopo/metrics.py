@@ -6,10 +6,11 @@ and where consecutive cells share an (i-1)-cell.  Level 1 is ordinary
 edge (graph) distance.  Within a single cell any two vertices count as
 distance 1 at that cell's level.
 
-Both distances walk the space's incidence index, built with the space:
-the vertex neighbours at level 1, and above it each i-cell's boundary
-faces and their cofaces, the i-cells that share a face with it.  Every
-query is a pure read.
+Every level walks the space's incidence index, built with the space, the
+same way: from each i-cell to its boundary faces and on to their cofaces,
+the i-cells that share a face with it.  At level 1 those are the edges
+meeting an edge at a vertex, and graph distance is the 1-cell distance.
+Every query is a pure read.
 """
 
 from __future__ import annotations
@@ -26,21 +27,7 @@ UNREACHABLE = math.inf
 
 def graph_distance(space: DiscreteSpace, x: int, y: int):
     """Shortest edge-path length; 0 for x == y; inf when disconnected."""
-    space.require_vertex(x)
-    space.require_vertex(y)
-    if x == y:
-        return 0
-    dist = {x: 0}
-    queue = deque([x])
-    while queue:
-        v = queue.popleft()
-        for w in space.vertex_neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                if w == y:
-                    return dist[w]
-                queue.append(w)
-    return UNREACHABLE
+    return k_cell_distance(space, x, y, 1)
 
 
 def k_cell_distance(space: DiscreteSpace, x: int, y: int, i: int):
@@ -49,8 +36,6 @@ def k_cell_distance(space: DiscreteSpace, x: int, y: int, i: int):
     space.require_vertex(y)
     if not (1 <= i <= space.top_dim):
         raise InputError("level %d outside 1..%d" % (i, space.top_dim))
-    if i == 1:
-        return graph_distance(space, x, y)
     if x == y:
         return 0
     sources = space.cells_containing(x, i)

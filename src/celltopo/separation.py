@@ -24,6 +24,9 @@ from .errors import (BudgetExhausted, InputError, PreconditionError,
                      UnsupportedConfiguration)
 from .flatness import is_locally_flat, subset_flatness
 
+PARITY_VERTICES = 14    # off-chain vertices whose pairs get a parity
+BRIDGE_STATES = 20000   # chain-free paths a bridge search may visit
+
 
 @dataclass
 class SeparationReport:
@@ -93,14 +96,13 @@ def components_of_complement(space: DiscreteSpace,
                             warnings, parities)
 
 
-def _crossing_parities(space: DiscreteSpace, barrier: frozenset,
-                       limit: int = 14) -> dict:
+def _crossing_parities(space: DiscreteSpace, barrier: frozenset) -> dict:
     """Parity of barrier crossings along one canonical cell path per pair
     of off-chain vertices that lie in a top cell."""
     k = space.top_dim
     s_verts = {v for cid in barrier for v in cid[1]}
-    off = [v for v in range(space.n_vertices)
-           if v not in s_verts and space.cells_containing(v, k)][:limit]
+    off = [v for v in range(space.n_vertices) if v not in s_verts
+           and space.cells_containing(v, k)][:PARITY_VERTICES]
 
     def home_cell(v):
         return space.cells_containing(v, k)[0]
@@ -231,7 +233,7 @@ def _restrict_to(space: DiscreteSpace, s_cells: frozenset) -> dict:
 
 
 def _bridge_off_chain(space: DiscreteSpace, s_verts, start: CellChain,
-                      goal: CellChain, max_states: int = 20000):
+                      goal: CellChain):
     """Single-cell moves from ``start`` through chain-free paths until one
     step of side-gradual variation reaches ``goal``."""
     def clean(chain):
@@ -259,7 +261,7 @@ def _bridge_off_chain(space: DiscreteSpace, s_verts, start: CellChain,
         if not clean(steps[-1]):
             return False
         states += 1
-        if states > max_states:
+        if states > BRIDGE_STATES:
             raise BudgetExhausted("bridge search exceeded its state budget",
                                   state=steps[-2])
         if are_side_gradually_varied(space, steps[-1], goal):

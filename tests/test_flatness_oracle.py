@@ -6,7 +6,8 @@ the mediators of a length-2 path from a scan of all i-cell pairs, and a
 fresh link per mediator per pair, tested for one connected piece with
 ``networkx``.  The checker must return the same verdict and the same
 problems, in the same order, on drawn vertex sets, edge subsets and
-simple walks.
+simple walks.  Focal points are compared with a reference built from
+``link`` the same way.
 """
 
 import itertools
@@ -17,10 +18,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from celltopo import complexes, metrics
+from celltopo import complexes, flatness, metrics
 from celltopo import generators as gen
 from celltopo.complexes import CellChain, closure, edge_key, link, partial_graph
-from celltopo.flatness import _ball, is_locally_flat, subset_flatness
+from celltopo.flatness import (_ball, find_focal_points, is_locally_flat,
+                               subset_flatness)
 from celltopo.metrics import k_cell_distance
 
 SPACES = {
@@ -163,12 +165,15 @@ def test_ball_matches_distances(data):
     for i in range(1, space.top_dim + 1):
         dists = {v: k_cell_distance(space, p, v, i)
                  for v in range(space.n_vertices) if v != p}
-        assert _ball(space, p, i) == {v: d for v, d in dists.items() if d <= 2}
+        ball, meds = _ball(space, p, i)
+        assert ball == {v: d for v, d in dists.items() if d <= 2}
+        assert meds == {q: _mediators(space, p, q, i)
+                        for q, d in dists.items() if d == 2}
     graph = nx.Graph(cid[1] for cid in space.cells_of_dim(1))
     graph.add_nodes_from(range(space.n_vertices))
     lengths = nx.single_source_shortest_path_length(graph, p, cutoff=2)
     del lengths[p]
-    assert _ball(space, p, 1) == lengths
+    assert _ball(space, p, 1)[0] == lengths
 
 
 def _count_calls(monkeypatch, module, name) -> list:
@@ -189,12 +194,37 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 
 def test_flatness_work_bound(monkeypatch):
-    # no pair distance is computed, and no mediator's link twice
+    # no pair distance is computed, no link is built, and no mediator's
+    # link is read twice
     space, equator = gen.lattice_sphere(3, 4)
     distances = _count_calls(monkeypatch, metrics, "k_cell_distance")
     links = _count_calls(monkeypatch, complexes, "link")
+    reads = _count_calls(monkeypatch, flatness, "_chain_in_link")
     assert is_locally_flat(space, equator)
     assert distances == []
-    mediators = [tuple(sorted(xs)) for _, xs in links]
+    assert links == []
+    mediators = [m for _, m, _, _ in reads]
     assert mediators
     assert len(mediators) == len(set(mediators))
+
+
+@PROPS
+@given(simple_walks())
+def test_focal_points_match_link_reference(case):
+    space, curve = case
+    verts = curve.vertex_set()
+    edges = curve.edge_set()
+    want = []
+    for a in range(space.n_vertices):
+        if a in verts:
+            continue
+        lk = link(space, {a})
+        ies = [e for e in lk.edges() if e in edges]
+        piece = nx.Graph(ies)
+        piece.add_nodes_from(v for v in lk.vertices() if v in verts)
+        # one piece of two or more edges that branches nowhere: an arc, or
+        # the whole curve when the link holds all of a closed one
+        if (len(ies) >= 2 and nx.is_connected(piece)
+                and max(d for _, d in piece.degree()) <= 2):
+            want.append((a, complexes.walk(ies)))
+    assert find_focal_points(space, curve) == want

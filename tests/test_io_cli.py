@@ -4,6 +4,7 @@ from celltopo import cli
 from celltopo import generators as gen
 from celltopo import io as dio
 from celltopo.complexes import CellChain, DiscreteSpace
+from celltopo.errors import InputError
 from celltopo.separation import components_of_complement, contract_to_cell
 
 
@@ -68,6 +69,68 @@ def test_trace_round_trip(simplex4):
                           chains2) == text
     assert trace2.seed == trace.seed
     assert trace2.removals == trace.removals
+
+
+def test_empty_chain_round_trip(cube4):
+    # an empty chain's index line is blank, before another chain and last
+    empty = CellChain.of_cells(cube4, 2, ())
+    some = CellChain.of_cells(cube4, 2, cube4.cells_of_dim(2)[:3])
+    chains = {"a": empty, "m": some, "z": empty}
+    text = dio.save_complex(cube4, chains)
+    assert "chain a 2\n\nchain m 2\n" in text
+    assert text.endswith("chain z 2\n\n")
+    _, chains2 = dio.load_complex(text)
+    assert dio.save_complex(cube4, chains2) == text
+    assert chains2["a"].cells == chains2["z"].cells == ()
+    assert chains2["m"].cells == some.cells
+
+
+def test_empty_chain_after_the_trace_surface(simplex4):
+    sphere = gen.equator(simplex4, "simplex-boundary")
+    report = components_of_complement(simplex4, sphere)
+    big = next(c for c in report.components if len(c) == 4)
+    trace = contract_to_cell(simplex4, big, sphere, sorted(big)[0])
+    chains = {"z": CellChain.of_cells(simplex4, 2, ())}
+    text = dio.save_trace(simplex4, sphere, trace, chains)
+    space2, chains2, trace2 = dio.load_trace(text)
+    assert chains2["z"].cells == ()
+    assert dio.save_trace(space2, chains2["surface"], trace2,
+                          chains2) == text
+
+
+@pytest.mark.parametrize("chain", [CellChain(0, ()), CellChain(1, ())])
+def test_empty_point_or_curve_chain_is_not_saved(octa, chain):
+    with pytest.raises(InputError):
+        dio.save_complex(octa, {"e": chain})
+
+
+TRAILING = "garbage here\nchain x 1\n0 1\n"
+
+
+def test_trailing_lines_are_parse_errors(octa, simplex4):
+    text = dio.save_complex(octa, {"eq": gen.equator(octa, "octahedron")})
+    with pytest.raises(dio.ParseError) as err:
+        dio.load_complex(text + "\n" + TRAILING)
+    assert err.value.line == len(text.splitlines()) + 2
+    trace = _trace_text(simplex4)
+    with pytest.raises(dio.ParseError) as err:
+        dio.load_trace(trace + TRAILING)
+    assert err.value.line == len(trace.splitlines()) + 1
+    # blank lines at the end are still fine
+    assert dio.load_complex(text + "\n\n")[1].keys() == {"eq"}
+
+
+def test_cmd_trailing_lines_exit_2(octa_file, simplex4, tmp_path, capsys):
+    with open(octa_file, "a") as fh:
+        fh.write(TRAILING)
+    assert cli.main(["flat", octa_file, "--chain", "x"]) == 2
+    path = tmp_path / "trace.txt"
+    path.write_text(_trace_text(simplex4) + TRAILING)
+    assert cli.main(["export", str(path), "--out",
+                     str(tmp_path / "snap")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("parse error") == 2
+    assert "no chain named" not in err and "Traceback" not in err
 
 
 def test_parse_error_carries_line(octa):

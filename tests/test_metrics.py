@@ -154,12 +154,19 @@ def dual_distances(space, x, i) -> dict:
 
 
 def _check_against_dual(space, x):
-    for i in range(2, space.top_dim + 1):
+    # level 1's dual graph joins edges through shared vertices
+    for i in range(1, space.top_dim + 1):
         want = dual_distances(space, x, i)
         for y in range(space.n_vertices):
             if y != x:
                 assert k_cell_distance(space, x, y, i) == \
                     want.get(y, UNREACHABLE), (x, y, i)
+    graph = nx.Graph(cid[1] for cid in space.cells_of_dim(1))
+    graph.add_nodes_from(range(space.n_vertices))
+    lengths = nx.single_source_shortest_path_length(graph, x)
+    for y in range(space.n_vertices):
+        assert graph_distance(space, x, y) == \
+            lengths.get(y, UNREACHABLE), (x, y)
 
 
 @PROPS
