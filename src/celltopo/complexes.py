@@ -11,9 +11,12 @@ incidence index of three maps: the cells of each dimension, the cells at
 each vertex and the cofaces of each cell.  Cells sharing a face are found
 by one walk, from a cell's boundary faces to their cofaces, at every
 dimension: a vertex's neighbours are the far ends of its edges, its
-cofaces.  Nothing stores either adjacency.  Afterwards a space is
-immutable; every query reads the index and is a pure function, safe to run
-concurrently.
+cofaces.  Nothing stores either adjacency.  Whether a cell set is
+connected through shared faces is one breadth-first flood (``_flood``)
+over that walk, with two entry points: ``face_components`` lists the
+sorted components, and ``_face_connected`` floods once for a yes or no
+without sorting anything.  Afterwards a space is immutable; every query
+reads the index and is a pure function, safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -252,7 +255,7 @@ class DiscreteSpace:
         # (a closed pseudo-cycle) and the cycle is connected.  No proper
         # subset of it is then closed: a face joining the subset to the rest
         # lies in only one of the subset's cells.
-        if not is_closed(self, bnd) or len(face_components(self, bnd)) != 1:
+        if not (is_closed(self, bnd) and _face_connected(self, bnd)):
             raise InputError("%r: boundary is not a closed cycle of "
                              "%d-cells" % (cid, d - 1))
         return None
@@ -397,6 +400,30 @@ def is_closed(space: DiscreteSpace, cells) -> bool:
                                face_counts(space, cells).values())
 
 
+def _flood(space: DiscreteSpace, start: CellId, rest: set,
+           blocked=frozenset()) -> list:
+    """``start`` and every cell of ``rest`` it reaches through shared
+    boundary faces, never through a face in ``blocked``, in breadth-first
+    order.  Each reached cell is removed from ``rest``, which is all the
+    walk keeps; the walk ends early once ``rest`` is empty.
+    """
+    cells, cofaces = space.cells, space._cofaces
+    rest.discard(start)
+    comp = [start]
+    for cur in comp:
+        if not rest:
+            break
+        for f in cells[cur].boundary:
+            if blocked and f in blocked:
+                continue
+            # f bounds cur, so it has cofaces
+            for n in cofaces[f]:
+                if n in rest:
+                    rest.remove(n)
+                    comp.append(n)
+    return comp
+
+
 def face_components(space: DiscreteSpace, cells,
                     blocked=frozenset()) -> list:
     """The components of the collection ``cells`` under adjacency through
@@ -405,24 +432,19 @@ def face_components(space: DiscreteSpace, cells,
     Each component is a sorted list, and components come in the order of
     their smallest cell.  The shared faces of 1-cells are vertices.
     """
-    members = set(cells)
-    comps = []
-    seen: set = set()
-    for c in sorted(members):
-        if c in seen:
-            continue
-        seen.add(c)
-        comp = [c]
-        for cur in comp:
-            for f in space.cells[cur].boundary:
-                if f in blocked:
-                    continue
-                for n in space.cofaces(f):
-                    if n in members and n not in seen:
-                        seen.add(n)
-                        comp.append(n)
-        comps.append(sorted(comp))
-    return comps
+    rest = set(cells)
+    return [sorted(_flood(space, c, rest, blocked))
+            for c in sorted(rest) if c in rest]
+
+
+def _face_connected(space: DiscreteSpace, cells) -> bool:
+    """True iff ``cells`` is non-empty and one component under
+    ``face_components``'s adjacency: one flood, nothing sorted."""
+    rest = set(cells)
+    if not rest:
+        return False
+    _flood(space, rest.pop(), rest)
+    return not rest
 
 
 def closure(space: DiscreteSpace, cells, dim: int | None = None) -> frozenset:
@@ -563,8 +585,8 @@ def check_regular(space: DiscreteSpace) -> CheckReport:
                        % (k - 1, f, n, k))
 
     if top:
-        reached = len(face_components(space, top)[0])
-        if reached != len(top):
+        if not _face_connected(space, top):
+            reached = len(face_components(space, top)[0])
             report.add("clause 1: %d-cells are not (k-1)-connected "
                        "(%d of %d reachable)" % (k, reached, len(top)))
     else:
@@ -576,16 +598,16 @@ def check_regular(space: DiscreteSpace) -> CheckReport:
         # links in a 1-manifold are vertex pairs (0-spheres); there is no
         # connectivity left to check
         return report
-    for v in range(space.n_vertices):
+    cells = space.cells
+    for v, at in space._at_vertex.items():
         # the link's (k-1)-cells: the faces of the k-cells at v avoiding v
-        cells = {f for cid in space.cells_containing(v, k)
-                 for f in space.cells[cid].boundary if v not in f[1]}
-        if not cells:
+        lk = {f for cid in at if cid[0] == k
+              for f in cells[cid].boundary if v not in f[1]}
+        if not lk:
             if space.cells_containing(v, 1):
                 report.add("clause 4: link of vertex %d has no %d-cells"
                            % (v, k - 1))
-            continue
-        if len(face_components(space, cells)) != 1:
+        elif not _face_connected(space, lk):
             report.add("clause 4: link of vertex %d is disconnected" % v)
     return report
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import (CellChain, CheckReport, DiscreteSpace, closure,
-                        edge_key, face_components, face_counts,
-                        partial_graph, walk)
+from .complexes import (CellChain, CheckReport, DiscreteSpace,
+                        _face_connected, _flood, closure, edge_key,
+                        face_components, face_counts, partial_graph, walk)
 from .errors import InputError, PreconditionError
 
 
@@ -69,8 +69,8 @@ def _link_on_chain(space: DiscreteSpace, mediator: int,
     ivs, ies = _chain_in_link(space, mediator, chain_verts, chain_edges)
     if not ies:
         return None
-    first = face_components(space, [(1, e) for e in ies])[0]
-    reached = {v for _, e in first for v in e}
+    rest = {(1, e) for e in ies}
+    reached = {v for _, e in _flood(space, (1, ies[0]), rest) for v in e}
     return ivs if ivs <= reached else None
 
 
@@ -162,8 +162,13 @@ def _require_simple(space: DiscreteSpace, chain: CellChain):
 
 
 def find_focal_points(space: DiscreteSpace, chain: CellChain) -> list:
-    """All off-chain vertices whose link meets the chain in an arc of two
-    or more edges, each paired with that arc as an ordered vertex tuple."""
+    """All off-chain vertices whose link meets the chain in one simple walk
+    of two or more edges, each paired with that walk as ``walk`` orders it.
+
+    The walk is an arc of the chain, or the whole chain when the chain is
+    a closed curve lying in the link: on ``simplex_boundary(3)`` the curve
+    (0, 1, 2) gives vertex 3 with the cycle ``(0, 1, 2)`` as its "arc".
+    """
     _require_simple(space, chain)
     verts = chain.vertex_set()
     edges = frozenset(e for _, e in closure(space, chain.cells, 1))
@@ -285,9 +290,8 @@ def verify_collar(space: DiscreteSpace, chain: CellChain,
             report.add("sheet %d meets the base chain" % i)
         induced = partial_graph(space, sheet)
         if len(sheet) > 1:
-            comps = face_components(space, [(1, e) for e in induced])
-            split = len(comps) != 1 or \
-                {v for e in induced for v in e} != sheet
+            split = not _face_connected(space, [(1, e) for e in induced]) \
+                or {v for e in induced for v in e} != sheet
             if chain.dim == 1 and (split or walk(induced) is None):
                 report.add("sheet %d self-intersects (induced shape: %s)"
                            % (i, "disconnected" if split else "branched"))

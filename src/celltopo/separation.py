@@ -15,8 +15,9 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
-from .complexes import (CellChain, CheckReport, DiscreteSpace, check_regular,
-                        closure, edge_key, face_components, is_closed)
+from .complexes import (CellChain, CheckReport, DiscreteSpace,
+                        _face_connected, check_regular, closure, edge_key,
+                        face_components, is_closed)
 from .deformation import (MOVE_SIDE_GRADUAL, DeformationTrace, _cell_moves,
                           are_side_gradually_varied, bfs_moves,
                           realizing_cells)
@@ -380,7 +381,7 @@ def contract_to_cell(space: DiscreteSpace, component, s: CellChain,
             patch = _faces(space, entry[1]) & surface
             if not patch:
                 queued.remove(entry[1])
-            elif len(face_components(space, patch)) == 1:
+            elif _face_connected(space, patch):
                 chosen = entry[1]
             else:
                 passed.append(entry)

@@ -2,7 +2,10 @@ import itertools
 import random
 import re
 
+import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from celltopo import generators as gen
 from celltopo.complexes import (CellChain, DiscreteSpace, check_regular,
@@ -287,6 +290,112 @@ def test_check_regular_fat_edge():
                           {2: [(0, 1, 2), (0, 1, 3), (0, 1, 4)]})
     report = check_regular(space)
     assert any("clause 2" in p for p in report.problems)
+
+
+REGULAR_BASES = {"S(3, 3)": gen.lattice_sphere(3, 3)[0],
+                 "S(4, 2)": gen.lattice_sphere(4, 2)[0],
+                 "simplex4": gen.simplex_boundary(4)}
+
+
+def _thinned(base: str, glue, drop) -> DiscreteSpace:
+    """``base`` without its ``drop``-indexed top cells; with ``glue =
+    (x, y)``, first joined to a copy of itself whose vertex y is vertex x."""
+    space = REGULAR_BASES[base]
+    n, k = space.n_vertices, space.top_dim
+    edges = sorted(space.edges)
+    cells = {d: [c[1] for c in space.cells_of_dim(d)] for d in range(2, k + 1)}
+    if glue is not None:
+        x, y = glue
+        to = [x if v == y else n + v - (v > y) for v in range(n)]
+        edges += [(to[u], to[v]) for u, v in edges]
+        for cs in cells.values():
+            cs += [tuple(to[v] for v in c) for c in cs]
+        n = 2 * n - 1
+    cells[k] = [c for i, c in enumerate(cells[k]) if i not in drop]
+    return DiscreteSpace(n, edges, cells)
+
+
+@st.composite
+def thinnings(draw):
+    base = draw(st.sampled_from(sorted(REGULAR_BASES)))
+    space = REGULAR_BASES[base]
+    vertex = st.integers(0, space.n_vertices - 1)
+    glue = draw(st.none() | st.tuples(vertex, vertex))
+    tops = len(space.cells_of_dim(space.top_dim)) * (1 if glue is None else 2)
+    return base, glue, draw(st.frozensets(st.integers(0, tops - 1)))
+
+
+def _face_graph(space, cells) -> nx.Graph:
+    """``cells`` joined when their stored boundaries share a face."""
+    graph = nx.Graph()
+    graph.add_nodes_from(cells)
+    holders: dict = {}
+    for c in cells:
+        for f in space.cells[c].boundary:
+            holders.setdefault(f, []).append(c)
+    for cs in holders.values():
+        graph.add_edges_from(itertools.combinations(cs, 2))
+    return graph
+
+
+def _reference_regular(space) -> list:
+    """``check_regular``'s problem list from networkx components of the
+    cells' stored boundaries, without the incidence index."""
+    k = space.top_dim
+    top = sorted(c for c in space.cells if c[0] == k)
+    problems = []
+    holders = {f: 0 for f in space.cells if f[0] == k - 1}
+    for c in top:
+        for f in space.cells[c].boundary:
+            holders[f] += 1
+    problems += ["clause 2: %d-cell %r lies in %d %d-cells" % (k - 1, f, n, k)
+                 for f, n in sorted(holders.items()) if n not in (1, 2)]
+    if not top:
+        problems.append("clause 1: the space has no %d-cells" % k)
+    else:
+        reached = len(nx.node_connected_component(_face_graph(space, top),
+                                                  top[0]))
+        if reached != len(top):
+            problems.append("clause 1: %d-cells are not (k-1)-connected "
+                            "(%d of %d reachable)" % (k, reached, len(top)))
+    if k == 1:
+        return problems
+    for v in range(space.n_vertices):
+        lk = {f for c in top if v in c[1] for f in space.cells[c].boundary
+              if v not in f[1]}
+        if not lk:
+            if any(v in e for e in space.edges):
+                problems.append("clause 4: link of vertex %d has no %d-cells"
+                                % (v, k - 1))
+        elif not nx.is_connected(_face_graph(space, lk)):
+            problems.append("clause 4: link of vertex %d is disconnected" % v)
+    return problems
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(thinnings())
+def test_check_regular_matches_networkx(case):
+    space = _thinned(*case)
+    report = check_regular(space)
+    want = _reference_regular(space)
+    assert report.problems == want
+    assert report.ok == (not want)
+
+
+@pytest.mark.parametrize("case,path", [
+    # the copies meet in one vertex: half the top cells are reached, and
+    # that vertex's link has two pieces
+    (("S(4, 2)", (0, 5), ()), "(64 of 128 reachable)"),
+    (("S(3, 3)", (26, 0), ()), "link of vertex 26 is disconnected"),
+    # every tetrahedron at vertex 0 is gone, its edges stay
+    (("simplex4", None, {0, 1, 2, 3}), "link of vertex 0 has no 2-cells"),
+])
+def test_check_regular_failure_paths_match_networkx(case, path):
+    space = _thinned(*case)
+    want = _reference_regular(space)
+    assert any(path in p for p in want)
+    assert check_regular(space).problems == want
 
 
 def test_is_closed_manifold(octa, simplex4):

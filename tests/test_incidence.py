@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from celltopo import generators as gen
 from celltopo import io as dio
-from celltopo.complexes import (DiscreteSpace, closure, edge_key,
-                                face_components, face_counts, is_closed,
-                                walk)
+from celltopo.complexes import (DiscreteSpace, _face_connected, closure,
+                                edge_key, face_components, face_counts,
+                                is_closed, walk)
 from celltopo.errors import InputError
 
 SPACES = {
@@ -54,6 +54,11 @@ def test_face_components_match_networkx(case):
         {frozenset(c) for c in nx.connected_components(dual)}
     assert all(c == sorted(c) for c in comps)
     assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+    # the yes/no flood (which blocks nothing) agrees; the empty set is
+    # not connected
+    assert _face_connected(space, cells) == \
+        (len(face_components(space, cells)) == 1)
+    assert not _face_connected(space, ())
 
 
 def _recursive_closure(space, cid):
