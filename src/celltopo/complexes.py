@@ -11,12 +11,14 @@ incidence index of three maps: the cells of each dimension, the cells at
 each vertex and the cofaces of each cell.  Cells sharing a face are found
 by one walk, from a cell's boundary faces to their cofaces, at every
 dimension: a vertex's neighbours are the far ends of its edges, its
-cofaces.  Nothing stores either adjacency.  Whether a cell set is
-connected through shared faces is one breadth-first flood (``_flood``)
-over that walk, with two entry points: ``face_components`` lists the
-sorted components, and ``_face_connected`` floods once for a yes or no
-without sorting anything.  Afterwards a space is immutable; every query
-reads the index and is a pure function, safe to run concurrently.
+cofaces.  Nothing stores either adjacency.  Two breadth-first walks run
+over it.  The flood (``_flood``) asks whether cells are connected, with
+two entry points: ``face_components`` lists the sorted components, and
+``_face_connected`` floods once for a yes or no.  The level walk
+(``_levels``) asks how far and across which face: it yields one level at
+a time, each cell with the cell and face that first reached it.
+Afterwards a space is immutable; every query reads the index and is a
+pure function, safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -296,10 +298,8 @@ class DiscreteSpace:
 
     def _orient_two_cells(self) -> bool:
         """Flip 2-cell loops so adjacent cells traverse shared edges in
-        opposite directions.  Returns False if no consistent choice exists."""
-        if any(len(self.cofaces(e)) > 2 for e in self.cells_of_dim(1)):
-            return False
-
+        opposite directions.  Returns False if no consistent choice exists:
+        an edge lies in three cells or more, or two walk it the same way."""
         # the edges (u, v), u < v, each loop walks from u to v
         forward = {}
         for cid in self.cells_of_dim(2):
@@ -307,25 +307,24 @@ class DiscreteSpace:
             forward[cid] = {e for e in zip(loop, loop[1:] + loop[:1])
                             if e[0] < e[1]}
         flipped: dict = {}
+
+        def walks(cid, e):
+            # whether cid, as flipped, walks e forward
+            return (e[1] in forward[cid]) != flipped[cid]
+
+        # a cell walking the edge it was reached across the same way as
+        # the cell that reached it is flipped; a root is not
         for root in self.cells_of_dim(2):
-            if root in flipped:
-                continue
-            flipped[root] = False
-            queue = [root]
-            for cur in queue:
-                for b in self.cells[cur].boundary:
-                    # whether cur, as flipped, walks b forward; a neighbour
-                    # walking b the same way must be flipped
-                    fwd = (b[1] in forward[cur]) != flipped[cur]
-                    for other in self.cofaces(b):
-                        if other == cur:
-                            continue
-                        need_flip = (b[1] in forward[other]) == fwd
-                        if other not in flipped:
-                            flipped[other] = need_flip
-                            queue.append(other)
-                        elif flipped[other] != need_flip:
-                            return False
+            if root not in flipped:
+                for level in _levels(self, (root,)):
+                    for cid, via in level.items():
+                        flipped[cid] = via is not None and \
+                            (via[1][1] in forward[cid]) == walks(*via)
+        for e in self.cells_of_dim(1):
+            pair = self.cofaces(e)
+            if len(pair) > 2 or len(pair) == 2 and \
+                    walks(pair[0], e) == walks(pair[1], e):
+                return False
         for cid, f in flipped.items():
             if f:
                 c = self.cells[cid]
@@ -422,6 +421,32 @@ def _flood(space: DiscreteSpace, start: CellId, rest: set,
                     rest.remove(n)
                     comp.append(n)
     return comp
+
+
+def _levels(space: DiscreteSpace, sources, region=None,
+            blocked=frozenset()):
+    """The breadth-first levels from ``sources`` through shared boundary
+    faces, one dict per level: each maps a cell reached for the first time
+    to the first cell of the level before that reached it and their
+    shared face, a source to None.  Only cells of ``region`` are entered
+    when it is given, and no face in ``blocked`` is crossed.  A caller
+    stops the walk by leaving its loop."""
+    cells, cofaces = space.cells, space._cofaces
+    level = dict.fromkeys(sources)
+    seen = set(level)
+    while level:
+        yield level
+        nxt: dict = {}
+        for cur in level:
+            for f in cells[cur].boundary:
+                if blocked and f in blocked:
+                    continue
+                # f bounds cur, so it has cofaces
+                for n in cofaces[f]:
+                    if n not in seen and (region is None or n in region):
+                        seen.add(n)
+                        nxt[n] = (cur, f)
+        level = nxt
 
 
 def face_components(space: DiscreteSpace, cells,

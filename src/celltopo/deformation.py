@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (CellChain, CheckReport, DiscreteSpace, edge_key,
-                        face_counts, walk)
+from .complexes import (CellChain, CheckReport, DiscreteSpace, _levels,
+                        edge_key, face_counts, walk)
 from .errors import InputError, PreconditionError, UnsupportedConfiguration
 
 MOVE_GRADUAL = "gradual"
@@ -609,9 +609,9 @@ def search_contraction(space: DiscreteSpace, cycle: CellChain, p: int,
     is none (on a surface) or none was found (above dimension 2).
 
     On a surface the trace is the paper's construction, not a search.
-    The cells on a cycle edge each flood their side of the cycle; a flood
-    stops once it holds more than ``step_budget`` cells, or when it
-    reaches the other start cell, as the cycle then separates nothing.
+    The cells on a cycle edge each walk their side of the cycle level by
+    level; a walk stops at the level that takes it past ``step_budget``
+    cells or reaches the other start cell (the cycle separates nothing).
     The sides found, the smaller first, go to
     ``separation.contract_to_cell`` with the side's smallest cell at p
     that has an edge on the cycle as the seed; each removal is one
@@ -690,19 +690,13 @@ def _contract_on_surface(space: DiscreteSpace, cycle: CellChain, p: int,
 def _side(space: DiscreteSpace, start, barrier: frozenset, stop: set,
           limit: int):
     """The top cells reached from ``start`` through faces outside
-    ``barrier``; None once it holds more than ``limit`` cells or reaches a
-    cell of ``stop``."""
-    side, seen = [start], {start}
-    for cur in side:
-        for f in space.cells[cur].boundary:
-            if f in barrier:
-                continue
-            for n in space.cofaces(f):
-                if n in stop:
-                    return None
-                if n not in seen:
-                    seen.add(n)
-                    side.append(n)
+    ``barrier``, in breadth-first order; None once a level takes it past
+    ``limit`` cells or reaches a cell of ``stop``."""
+    side: list = []
+    for level in _levels(space, (start,), blocked=barrier):
+        if not stop.isdisjoint(level):
+            return None
+        side.extend(level)
         if len(side) > limit:
             return None
     return side

@@ -6,20 +6,19 @@ and where consecutive cells share an (i-1)-cell.  Level 1 is ordinary
 edge (graph) distance.  Within a single cell any two vertices count as
 distance 1 at that cell's level.
 
-Every level walks the space's incidence index, built with the space, the
-same way: from each i-cell to its boundary faces and on to their cofaces,
-the i-cells that share a face with it.  At level 1 those are the edges
-meeting an edge at a vertex, and graph distance is the 1-cell distance.
-Every query is a pure read.
+Every level runs the shared level walk (``complexes._levels``) from the
+i-cells at x, stepping from each i-cell to its faces' cofaces; the first
+level to hold an i-cell at y is the distance.  At level 1 the steps join
+edges at a vertex, and graph distance is the 1-cell distance.  Every
+query is a pure read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 
-from .complexes import CheckReport, DiscreteSpace
+from .complexes import CheckReport, DiscreteSpace, _levels
 from .errors import InputError, PreconditionError
 
 UNREACHABLE = math.inf
@@ -42,21 +41,11 @@ def k_cell_distance(space: DiscreteSpace, x: int, y: int, i: int):
     targets = set(space.cells_containing(y, i))
     if not sources or not targets:
         return UNREACHABLE
-    if targets.intersection(sources):
-        return 1
-    # breadth first through shared faces, so the first target reached is a
-    # nearest one
-    dist = {c: 1 for c in sources}
-    queue = deque(sources)
-    while queue:
-        c = queue.popleft()
-        for f in space.cells[c].boundary:
-            for n in space.cofaces(f):
-                if n not in dist:
-                    if n in targets:
-                        return dist[c] + 1
-                    dist[n] = dist[c] + 1
-                    queue.append(n)
+    # the first breadth-first level through shared faces that meets a
+    # target is the distance
+    for d, level in enumerate(_levels(space, sources), 1):
+        if not targets.isdisjoint(level):
+            return d
     return UNREACHABLE
 
 

@@ -6,18 +6,20 @@ is.  Each component then contracts to a single seed cell by repeatedly
 dissolving the in-region cell farthest from the seed: its surface faces are
 swapped for its remaining faces, so every step's XorSum is one full cell
 boundary and the whole sequence replays backwards as an expansion.
+
+The components are the shared flood's, with the chain's cells blocked;
+the crossing parities (one breadth-first tree per off-chain vertex) and
+the seed distances are read from the shared level walk.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
 from .complexes import (CellChain, CheckReport, DiscreteSpace,
-                        _face_connected, check_regular, closure, edge_key,
-                        face_components, is_closed)
+                        _face_connected, _levels, check_regular, closure,
+                        edge_key, face_components, is_closed)
 from .deformation import (MOVE_SIDE_GRADUAL, DeformationTrace, _cell_moves,
                           are_side_gradually_varied, bfs_moves,
                           realizing_cells)
@@ -99,30 +101,26 @@ def components_of_complement(space: DiscreteSpace,
 
 def _crossing_parities(space: DiscreteSpace, barrier: frozenset) -> dict:
     """Parity of barrier crossings along one canonical cell path per pair
-    of off-chain vertices that lie in a top cell."""
+    of off-chain vertices that lie in a top cell: the path in the
+    breadth-first tree from the first vertex's home cell, grown until it
+    holds every later vertex's."""
     k = space.top_dim
     s_verts = {v for cid in barrier for v in cid[1]}
     off = [v for v in range(space.n_vertices) if v not in s_verts
            and space.cells_containing(v, k)][:PARITY_VERTICES]
-
-    def home_cell(v):
-        return space.cells_containing(v, k)[0]
-
+    home = {v: space.cells_containing(v, k)[0] for v in off}
     out = {}
-    for a, b in itertools.combinations(off, 2):
-        start, goal = home_cell(a), home_cell(b)
-        prev = {start: (None, 0)}
-        queue = deque([start])
-        while queue and goal not in prev:
-            cur = queue.popleft()
-            for f in space.cells[cur].boundary:
-                for nxt in space.cofaces(f):
-                    if nxt != cur and nxt not in prev:
-                        cross = 1 if f in barrier else 0
-                        prev[nxt] = (cur, prev[cur][1] + cross)
-                        queue.append(nxt)
-        if goal in prev:
-            out[(a, b)] = prev[goal][1] % 2
+    for i, a in enumerate(off):
+        goals, parity = {home[b] for b in off[i + 1:]}, {}
+        for level in _levels(space, (home[a],)):
+            for cell, via in level.items():
+                parity[cell] = 0 if via is None else \
+                    parity[via[0]] ^ (via[1] in barrier)
+            goals.difference_update(level)
+            if not goals:
+                break
+        out.update(((a, b), parity[home[b]]) for b in off[i + 1:]
+                   if home[b] in parity)
     return out
 
 
@@ -418,16 +416,8 @@ def contract_to_cell(space: DiscreteSpace, component, s: CellChain,
 def _region_distances(space: DiscreteSpace, seed, region: set) -> dict:
     """Breadth-first cell distances from ``seed``, 1 at the seed, through
     faces shared by cells of ``region``."""
-    dist = {seed: 1}
-    queue = deque([seed])
-    while queue:
-        cur = queue.popleft()
-        for f in space.cells[cur].boundary:
-            for nxt in space.cofaces(f):
-                if nxt in region and nxt not in dist:
-                    dist[nxt] = dist[cur] + 1
-                    queue.append(nxt)
-    return dist
+    return {c: d for d, level in enumerate(_levels(space, (seed,), region), 1)
+            for c in level}
 
 
 def _lengthens(space: DiscreteSpace, dist: dict, cell) -> bool:

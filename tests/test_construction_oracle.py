@@ -87,6 +87,22 @@ def mobius(m: int = 5) -> DiscreteSpace:
     return DiscreteSpace(2 * m, sorted(edges), {2: quads})
 
 
+def klein(m: int = 4, n: int = 5) -> DiscreteSpace:
+    """An m x n grid of squares, its columns glued into rings and its last
+    column glued to the first with the ring reversed: a closed surface
+    with no orientation.  Every edge lies in two squares, so the conflict
+    lies on an edge off the breadth-first tree."""
+    def vid(i, j):
+        if i == m:
+            i, j = 0, -j
+        return i * n + j % n
+
+    quads = [(vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1))
+             for i in range(m) for j in range(n)]
+    edges = {edge_key(q[i], q[(i + 1) % 4]) for q in quads for i in range(4)}
+    return DiscreteSpace(m * n, sorted(edges), {2: quads})
+
+
 GENERATED = {
     "octahedron": gen.octahedron(),
     **{"simplex%d" % n: gen.simplex_boundary(n) for n in range(2, 7)},
@@ -98,6 +114,7 @@ GENERATED = {
     "S(3, 4)": gen.lattice_sphere(3, 4)[0],
     "S(4, 2)": gen.lattice_sphere(4, 2)[0],
     "mobius": mobius(),
+    "klein": klein(),
 }
 
 

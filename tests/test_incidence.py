@@ -1,6 +1,6 @@
 """Property tests of the shared incidence helpers against independent
-references: networkx components, the recursive closure, explicit face
-counts and the edge list of a walk."""
+references: networkx components and distances, the recursive closure,
+explicit face counts and the edge list of a walk."""
 
 import itertools
 
@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from celltopo import generators as gen
 from celltopo import io as dio
-from celltopo.complexes import (DiscreteSpace, _face_connected, closure,
-                                edge_key, face_components, face_counts,
-                                is_closed, walk)
+from celltopo.complexes import (DiscreteSpace, _face_connected, _levels,
+                                closure, edge_key, face_components,
+                                face_counts, is_closed, walk)
 from celltopo.errors import InputError
+
+from test_construction_oracle import mobius
 
 SPACES = {
     "octahedron": gen.octahedron(),
@@ -59,6 +61,72 @@ def test_face_components_match_networkx(case):
     assert _face_connected(space, cells) == \
         (len(face_components(space, cells)) == 1)
     assert not _face_connected(space, ())
+
+
+LEVEL_SPACES = {
+    "S(3, 4)": gen.lattice_sphere(3, 4)[0],
+    "S(4, 2)": gen.lattice_sphere(4, 2)[0],
+    "torus": gen.torus_grid(4, 5),
+    "strip": gen.strip_grid(3, 4),
+    "mobius": mobius(),
+}
+
+
+@st.composite
+def level_walks(draw):
+    """A space, a dimension d, a few d-cells as sources, a set of d-cells
+    as the region or None, and a set of blocked (d-1)-cells."""
+    space = LEVEL_SPACES[draw(st.sampled_from(sorted(LEVEL_SPACES)))]
+    d = draw(st.integers(1, space.top_dim))
+    cells = space.cells_of_dim(d)
+    sources = draw(st.lists(st.sampled_from(cells), max_size=3))
+    region = draw(st.none() | st.sets(st.sampled_from(cells)))
+    blocked = draw(st.sets(st.sampled_from(space.cells_of_dim(d - 1))))
+    return space, d, sources, region, frozenset(blocked)
+
+
+@PROPS
+@given(level_walks())
+def test_levels_match_networkx_distances(case):
+    space, d, sources, region, blocked = case
+    levels = list(_levels(space, sources, region, blocked))
+    # the face-adjacency graph on the region and the sources, with the
+    # blocked faces cut
+    nodes = set(space.cells_of_dim(d) if region is None else region)
+    nodes.update(sources)
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    for f in space.cells_of_dim(d - 1):
+        if f not in blocked:
+            graph.add_edges_from(itertools.combinations(
+                [c for c in space.cofaces(f) if c in nodes], 2))
+    want = nx.multi_source_dijkstra_path_length(graph, set(sources)) \
+        if sources else {}
+    got = {c: i for i, level in enumerate(levels) for c in level}
+    assert sum(map(len, levels)) == len(got)
+    assert got == want
+    if sources:
+        assert levels[0] == dict.fromkeys(sources)
+    for i, level in enumerate(levels[1:], 1):
+        before = list(levels[i - 1])
+        for cell, (parent, face) in level.items():
+            assert got[parent] == i - 1
+            assert face not in blocked
+            assert face in space.cells[cell].boundary
+            assert face in space.cells[parent].boundary
+            # the first cell of the level before, and its first face,
+            # that reach the cell: the tree of a first-in first-out queue
+            reach = [(p, f) for p in before for f in space.cells[p].boundary
+                     if f not in blocked and cell in space.cofaces(f)]
+            assert (parent, face) == reach[0]
+
+        def found(cell):
+            parent, face = level[cell]
+            return (before.index(parent),
+                    space.cells[parent].boundary.index(face),
+                    space.cofaces(face).index(cell))
+
+        assert list(level) == sorted(level, key=found)
 
 
 def _recursive_closure(space, cid):

@@ -1,18 +1,26 @@
 import itertools
+from collections import deque
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from celltopo import generators as gen
+from celltopo import separation
 from celltopo.complexes import CellChain, is_minimal_cycle
 from celltopo.deformation import (MOVE_SIDE_GRADUAL, DeformationTrace,
                                   are_side_gradually_varied)
 from celltopo.errors import InputError, UnsupportedConfiguration
 from celltopo.flatness import is_locally_flat
-from celltopo.separation import (Removal, components_of_complement,
+from celltopo.separation import (PARITY_VERTICES, Removal,
+                                 _crossing_parities, components_of_complement,
                                  contract_to_cell, first_crossing,
                                  flatten_path, invert_trace, replay,
                                  verify_contraction_trace)
+
+from test_contraction_oracle import blobs, blob_boundary
+from test_flatness_oracle import PROPS, _count_calls
 
 
 def enumerate_cell_paths(space, start, goal):
@@ -111,6 +119,66 @@ def test_parity_report_matches_components(octa):
     eq = gen.equator(octa, "octahedron")
     report = components_of_complement(octa, eq)
     assert report.crossing_parities == {(0, 5): 1}
+
+
+def reference_parities(space, barrier) -> dict:
+    """Crossing parities by one breadth-first search per pair of off-chain
+    vertices, from the first's home cell until it reaches the second's."""
+    k = space.top_dim
+    s_verts = {v for cid in barrier for v in cid[1]}
+    off = [v for v in range(space.n_vertices) if v not in s_verts
+           and space.cells_containing(v, k)][:PARITY_VERTICES]
+    out = {}
+    for a, b in itertools.combinations(off, 2):
+        start = space.cells_containing(a, k)[0]
+        goal = space.cells_containing(b, k)[0]
+        prev = {start: (None, 0)}
+        queue = deque([start])
+        while queue and goal not in prev:
+            cur = queue.popleft()
+            for f in space.cells[cur].boundary:
+                for nxt in space.cofaces(f):
+                    if nxt != cur and nxt not in prev:
+                        cross = 1 if f in barrier else 0
+                        prev[nxt] = (cur, prev[cur][1] + cross)
+                        queue.append(nxt)
+        if goal in prev:
+            out[(a, b)] = prev[goal][1] % 2
+    return out
+
+
+def assert_parities_match_reference(space, barrier) -> dict:
+    """The whole dict, key order included, and at most one walk per
+    off-chain vertex."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        walks = _count_calls(monkeypatch, separation, "_levels")
+        got = _crossing_parities(space, barrier)
+    assert list(got.items()) == \
+        list(reference_parities(space, barrier).items())
+    assert len(walks) <= PARITY_VERTICES
+    return got
+
+
+@pytest.mark.parametrize("m, n", [(4, 4), (4, 5), (5, 4), (6, 4)])
+def test_parities_match_reference_on_torus_meridians(m, n):
+    # the meridian does not separate the torus, so a pair's parity is that
+    # of the tree path between them: both parities occur
+    space = gen.torus_grid(m, n)
+    barrier = barrier_of(space, gen.torus_meridian(space, n))
+    got = assert_parities_match_reference(space, barrier)
+    assert set(got.values()) == {0, 1}
+
+
+@settings(PROPS, max_examples=40)
+@given(blobs(), st.data())
+def test_parities_match_reference_on_blob_boundaries(case, data):
+    # a blob's boundary separates, so every path gives the same parity;
+    # drawn stray faces make the parity depend on the path
+    space, blob = case
+    faces = space.cells_of_dim(space.top_dim - 1)
+    strays = data.draw(st.sets(st.sampled_from(faces), max_size=6))
+    barrier = frozenset(blob_boundary(space, blob)) | strays
+    assert_parities_match_reference(space, barrier)
 
 
 def test_torus_negative_control(torus44):

@@ -17,6 +17,7 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from celltopo import complexes, deformation, separation
 from celltopo import generators as gen
 from celltopo.complexes import CellChain, face_counts, walk
 from celltopo.deformation import search_contraction, verify_contraction
@@ -110,23 +111,34 @@ def test_block_cycle_needs_its_sixteen_cells():
     assert verify_contraction(space, cycle, ring[0], trace)
 
 
-def _cofaces_calls(monkeypatch, n: int) -> int:
+def _search_work(monkeypatch, n: int) -> tuple:
+    """The cofaces a search from the facet ring of S(3, n) asks for, and
+    the cells its breadth-first walks reach."""
     space, rings = _facet_rings(n)
     ring = rings["facet-x0"]
-    real, calls = space.cofaces, []
+    real_cofaces, real_levels = space.cofaces, complexes._levels
+    calls, reached = [], []
 
     def counted(cid):
         calls.append(cid)
-        return real(cid)
+        return real_cofaces(cid)
+
+    def walked(*args, **kwargs):
+        for level in real_levels(*args, **kwargs):
+            reached.extend(level)
+            yield level
 
     monkeypatch.setattr(space, "cofaces", counted)
+    for module in (deformation, separation):
+        monkeypatch.setattr(module, "_levels", walked)
     assert search_contraction(space, ring, ring.verts[0], 6) is not None
-    return len(calls)
+    return len(calls), len(reached)
 
 
 def test_search_work_does_not_grow_with_the_surface(monkeypatch):
     # the facet rings of S(3, 8) and S(3, 16) look alike within the
-    # budget's reach, so a search asks for the same cofaces on both
-    small = _cofaces_calls(monkeypatch, 8)
-    assert small > 0
-    assert _cofaces_calls(monkeypatch, 16) == small
+    # budget's reach, so a search asks for the same cofaces and its walks
+    # reach the same number of cells on both
+    small = _search_work(monkeypatch, 8)
+    assert min(small) > 0
+    assert _search_work(monkeypatch, 16) == small
