@@ -14,11 +14,17 @@ dimension: a vertex's neighbours are the far ends of its edges, its
 cofaces.  Nothing stores either adjacency.  Two breadth-first walks run
 over it.  The flood (``_flood``) asks whether cells are connected, with
 two entry points: ``face_components`` lists the sorted components, and
-``_face_connected`` floods once for a yes or no.  The level walk
+``_face_connected`` floods once for a yes or no, which ``_spans`` asks of
+edges to tell whether they connect exactly a vertex set.  The level walk
 (``_levels``) asks how far and across which face: it yields one level at
-a time, each cell with the cell and face that first reached it.
-Afterwards a space is immutable; every query reads the index and is a
-pure function, safe to run concurrently.
+a time, each cell with the cell and face that first reached it.  The two
+stay apart because the flood keeps only the set of cells not yet
+reached, while a level walk builds a dict per level; answering
+``_face_connected`` with ``_levels`` made ``check_regular`` 20 % slower
+on the lattice sphere ``S(3, 10)`` and 65 % slower on ``S(4, 3)``
+(best of 7 on a 2-vCPU Xeon VM).  Afterwards a space is immutable;
+every query reads the index and is a pure function, safe to run
+concurrently.
 """
 
 from __future__ import annotations
@@ -267,18 +273,21 @@ class DiscreteSpace:
 
         Pairs go in ascending (a, b) order.  One pass over the d-cells at
         a's vertices collects the vertices a shares with each later cell b.
-        One shared vertex is connected, two are connected iff they form an
-        edge, and only three or more need a search.
+        A shared set that is the vertex set of a cell is connected: every
+        boundary was checked connected, so every cell's vertex set is.
+        That covers one vertex, an edge and a shared face; only any other
+        set is tested with ``_spans`` on the edges it induces.
         """
+        cells = self.cells
         for d in range(2, self.top_dim + 1):
-            cells = self.cells_of_dim(d)
+            cs = self.cells_of_dim(d)
             # each vertex's d-cells, descending: the last one is the
             # smallest not yet visited
             at: dict = {}
-            for c in reversed(cells):
+            for c in reversed(cs):
                 for v in c[1]:
                     at.setdefault(v, []).append(c)
-            for a in cells:
+            for a in cs:
                 shared: dict = {}
                 for v in a[1]:
                     later = at[v]
@@ -286,15 +295,17 @@ class DiscreteSpace:
                     for b in later:
                         shared.setdefault(b, []).append(v)
                 for b, inter in sorted(shared.items()):
-                    if len(inter) == 2:
-                        ok = tuple(inter) in self.edges
-                    else:
-                        ok = len(inter) == 1 or _induces_connected(self, inter)
-                    if not ok:
+                    # a vertex, an edge or a simplex has one vertex more
+                    # than its dimension: the first lookup finds most
+                    inter = tuple(inter)
+                    if (len(inter) - 1, inter) not in cells and \
+                            not any((k, inter) in cells for k in range(d)) \
+                            and not _spans(self, inter,
+                                           partial_graph(self, inter)):
                         raise InputError(
                             "cells %r and %r are not well-attached: their "
                             "intersection %r induces a disconnected subgraph"
-                            % (a, b, tuple(inter)))
+                            % (a, b, inter))
 
     def _orient_two_cells(self) -> bool:
         """Flip 2-cell loops so adjacent cells traverse shared edges in
@@ -368,19 +379,6 @@ class DiscreteSpace:
 
 
 # -- incidence -------------------------------------------------------------
-
-
-def _induces_connected(space: DiscreteSpace, vs) -> bool:
-    """True iff the small vertex set ``vs`` induces a connected subgraph
-    of G; each pair is looked up in the edge set."""
-    rest = set(vs)
-    stack = [rest.pop()]
-    while stack:
-        v = stack.pop()
-        joined = [w for w in rest if edge_key(v, w) in space.edges]
-        rest.difference_update(joined)
-        stack.extend(joined)
-    return not rest
 
 
 def face_counts(space: DiscreteSpace, cells) -> dict:
@@ -470,6 +468,16 @@ def _face_connected(space: DiscreteSpace, cells) -> bool:
         return False
     _flood(space, rest.pop(), rest)
     return not rest
+
+
+def _spans(space: DiscreteSpace, verts, edges) -> bool:
+    """True iff ``edges`` connect exactly the vertex set ``verts``: one
+    vertex with no edges, or edges whose ends are ``verts`` and that are
+    face-connected (an edge's faces are its ends)."""
+    if not edges:
+        return len(verts) == 1
+    return {v for e in edges for v in e} == set(verts) and \
+        _face_connected(space, [(1, e) for e in edges])
 
 
 def closure(space: DiscreteSpace, cells, dim: int | None = None) -> frozenset:

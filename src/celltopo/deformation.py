@@ -240,8 +240,7 @@ def _cell_moves(space: DiscreteSpace, chain: CellChain, pool=None):
     the curve's edges are tried; ``single_cell_move`` rejects every other
     cell.
     """
-    touching = {cid for e in chain.edge_set()
-                for cid in space.cofaces((1, e))}
+    touching = {cid for f in chain.cells for cid in space.cofaces(f)}
     for cell in sorted(touching) if pool is None else pool:
         if cell in touching:
             nxt = single_cell_move(space, chain, cell)
@@ -312,16 +311,9 @@ def decompose_minimal_moves(space: DiscreteSpace, c: CellChain,
     moves = []
     while steps[-1].edge_set() != target:
         cur = steps[-1]
-        gap = cur.edge_set() ^ target
-        best = None
-        for cell in pool:
-            nxt = single_cell_move(space, cur, cell)
-            if nxt is None:
-                continue
-            new_gap = nxt.edge_set() ^ target
-            if len(new_gap) < len(gap):
-                best = (cell, nxt)
-                break
+        gap = len(cur.edge_set() ^ target)
+        best = next(((cell, nxt) for cell, nxt in _cell_moves(space, cur, pool)
+                     if len(nxt.edge_set() ^ target) < gap), None)
         if best is None:
             trace = bfs_moves(space, c, pool, _reaching(target),
                               len(pool) + 2)

@@ -21,9 +21,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import (CellChain, CheckReport, DiscreteSpace,
-                        _face_connected, _flood, closure, edge_key,
-                        face_components, face_counts, partial_graph, walk)
+from .complexes import (CellChain, CheckReport, DiscreteSpace, _spans,
+                        closure, edge_key, face_components, face_counts,
+                        partial_graph, walk)
 from .errors import InputError, PreconditionError
 
 
@@ -55,23 +55,6 @@ def _chain_in_link(space: DiscreteSpace, m: int, chain_verts: frozenset,
     ivs = frozenset(v for c in at for v in c[1] if v in chain_verts)
     ies = sorted(e for _, e in closure(space, at, 1) if e in chain_edges)
     return ivs, ies
-
-
-def _link_on_chain(space: DiscreteSpace, mediator: int,
-                   chain_verts: frozenset, chain_edges: frozenset):
-    """The chain vertices of link(mediator) when the link meets the chain in
-    one connected piece with at least one edge, otherwise None.
-
-    A connected subgraph of a simple curve is an arc, or the whole curve
-    when the curve is closed and fully seen; both count here.  The mediator
-    is a focal point for a pair when both lie in the returned set.
-    """
-    ivs, ies = _chain_in_link(space, mediator, chain_verts, chain_edges)
-    if not ies:
-        return None
-    rest = {(1, e) for e in ies}
-    reached = {v for _, e in _flood(space, (1, ies[0]), rest) for v in e}
-    return ivs if ivs <= reached else None
 
 
 def subset_flatness(space: DiscreteSpace, verts, edges,
@@ -114,7 +97,12 @@ def subset_flatness(space: DiscreteSpace, verts, edges,
                          for m in sorted(balls[i][1][q])
                          if m not in verts):
                 if m not in focal:
-                    focal[m] = _link_on_chain(space, m, verts, edges)
+                    # the link's chain vertices when it meets the chain in
+                    # one connected piece with an edge: an arc, or the
+                    # whole curve when closed and fully seen
+                    ivs, ies = _chain_in_link(space, m, verts, edges)
+                    focal[m] = ivs if ies and _spans(space, ivs, ies) \
+                        else None
                 seen = focal[m]
                 if seen is None or p not in seen or q not in seen:
                     report.add("pair (%d, %d): mediator %d at level %d is "
@@ -289,14 +277,13 @@ def verify_collar(space: DiscreteSpace, chain: CellChain,
         if sheet & verts:
             report.add("sheet %d meets the base chain" % i)
         induced = partial_graph(space, sheet)
-        if len(sheet) > 1:
-            split = not _face_connected(space, [(1, e) for e in induced]) \
-                or {v for e in induced for v in e} != sheet
-            if chain.dim == 1 and (split or walk(induced) is None):
-                report.add("sheet %d self-intersects (induced shape: %s)"
-                           % (i, "disconnected" if split else "branched"))
-            elif chain.dim >= 2 and split:
-                report.add("sheet %d is disconnected" % i)
+        split = not _spans(space, sheet, induced)
+        if chain.dim == 1 and (split or len(sheet) > 1 and
+                               walk(induced) is None):
+            report.add("sheet %d self-intersects (induced shape: %s)"
+                       % (i, "disconnected" if split else "branched"))
+        elif chain.dim >= 2 and split:
+            report.add("sheet %d is disconnected" % i)
         for v in sorted(sheet):
             w = cert.witness.get(v)
             if w is None or w not in verts:

@@ -180,21 +180,22 @@ def load_complex(text: str):
     return space, chains
 
 
-def _expect(reader: _Reader, keyword: str, fields: int = 0) -> list:
-    """The fields after ``keyword`` on the next line; at least ``fields``."""
+def _expect(reader: _Reader, keyword: str, fields: int | None) -> list:
+    """The fields after ``keyword`` on the next line: exactly ``fields``,
+    or any number when it is None."""
     line = reader.next(keyword)
     parts = line.split()
     if not parts or parts[0] != keyword:
         raise ParseError("expected %r, got %r" % (keyword, line),
                          reader.line_no)
-    if len(parts) <= fields:
-        raise ParseError("%r needs %d field(s), got %r"
+    if fields is not None and len(parts) != fields + 1:
+        raise ParseError("%r takes %d field(s), got %r"
                          % (keyword, fields, line), reader.line_no)
     return parts[1:]
 
 
 def _load_complex_body(reader: _Reader):
-    head = _expect(reader, "DSC")
+    head = _expect(reader, "DSC", 1)
     if head != [str(FORMAT_VERSION)]:
         raise ParseError("unsupported format version %r" % (head,),
                          reader.line_no)
@@ -247,10 +248,7 @@ def _load_complex_body(reader: _Reader):
         nxt = reader.peek()
         if nxt is None or not nxt.startswith("chain "):
             break
-        parts = _expect(reader, "chain")
-        if len(parts) != 2:
-            raise ParseError("chain header is 'chain <name> <dim>'",
-                             reader.line_no)
+        parts = _expect(reader, "chain", 2)
         name = parts[0]
         cdim = _int(parts[1], reader, "chain dimension", dim + 1)
         bound = n if cdim == 0 else len(rows[cdim])
@@ -290,7 +288,7 @@ def _edges_to_chain(space: DiscreteSpace, edges, name: str) -> CellChain:
 def load_trace(text: str):
     """Parse a DSCTRACE document: (space, chains, trace)."""
     reader = _Reader(text)
-    head = _expect(reader, "DSCTRACE")
+    head = _expect(reader, "DSCTRACE", 1)
     if head != [str(FORMAT_VERSION)]:
         raise ParseError("unsupported trace version %r" % (head,),
                          reader.line_no)
@@ -300,6 +298,9 @@ def load_trace(text: str):
                          reader.line_no)
     parts = _expect(reader, "trace", 2)
     direction = parts[0]
+    if direction not in ("contract", "expand"):
+        raise ParseError("trace direction %r is not 'contract' or 'expand'"
+                         % direction, reader.line_no)
     count = _int(parts[1], reader, "removal count")
     k = space.top_dim
     top = rows[k]
@@ -307,7 +308,7 @@ def load_trace(text: str):
     seed = top[_int(_expect(reader, "seed", 1)[0], reader, "seed", len(top))]
     removals = []
     for _ in range(count):
-        parts = _expect(reader, "step")
+        parts = _expect(reader, "step", None)
         row = " ".join(parts)
         bits = [b.strip() for b in row.split("|")]
         if len(bits) != 3:

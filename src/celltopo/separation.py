@@ -51,13 +51,11 @@ class SeparationReport:
 
 
 def _submanifold_cells(space: DiscreteSpace, s: CellChain) -> frozenset:
-    """The cells of a (k-1)-chain as a barrier: a curve's edge cells, or
-    the chain's own cells."""
+    """The cells of a (k-1)-chain as a barrier: a curve's are its edge
+    cells."""
     if s.dim != space.top_dim - 1:
         raise InputError("separating chain must have dimension %d"
                          % (space.top_dim - 1))
-    if s.dim == 1 and s.verts is not None:
-        return frozenset((1, e) for e in s.edge_set())
     return frozenset(s.cells)
 
 

@@ -1,5 +1,5 @@
 """The constructor's well-attachment check and 2-cell orientation against
-references written the slow way, and the work bound of the check.
+references written the slow way, and which pairs the check searches.
 
 Well-attachment: every pair of same-dimension cells, in ascending order,
 is tested for a shared vertex set that induces a disconnected subgraph of
@@ -103,19 +103,21 @@ def klein(m: int = 4, n: int = 5) -> DiscreteSpace:
     return DiscreteSpace(m * n, sorted(edges), {2: quads})
 
 
-GENERATED = {
-    "octahedron": gen.octahedron(),
-    **{"simplex%d" % n: gen.simplex_boundary(n) for n in range(2, 7)},
-    **{"cube%d" % n: gen.cube_boundary(n) for n in range(2, 6)},
-    "torus": gen.torus_grid(4, 5),
-    "seven": gen.seven_vertex_torus(),
-    "strip": gen.strip_grid(3, 4),
-    "strip-tri": gen.strip_grid(3, 3, triangulated=True),
-    "S(3, 4)": gen.lattice_sphere(3, 4)[0],
-    "S(4, 2)": gen.lattice_sphere(4, 2)[0],
-    "mobius": mobius(),
-    "klein": klein(),
+BUILDERS = {
+    "octahedron": gen.octahedron,
+    **{"simplex%d" % n: (lambda n=n: gen.simplex_boundary(n))
+       for n in range(2, 7)},
+    **{"cube%d" % n: (lambda n=n: gen.cube_boundary(n)) for n in range(2, 6)},
+    "torus": lambda: gen.torus_grid(4, 5),
+    "seven": gen.seven_vertex_torus,
+    "strip": lambda: gen.strip_grid(3, 4),
+    "strip-tri": lambda: gen.strip_grid(3, 3, triangulated=True),
+    "S(3, 4)": lambda: gen.lattice_sphere(3, 4)[0],
+    "S(4, 2)": lambda: gen.lattice_sphere(4, 2)[0],
+    "mobius": mobius,
+    "klein": klein,
 }
+GENERATED = {name: build() for name, build in BUILDERS.items()}
 
 
 def _registries(space):
@@ -177,7 +179,7 @@ def test_glued_polygons_match_references(case):
     _check_against_references(*case)
 
 
-@pytest.mark.parametrize("polygons", [
+GLUED = [
     # hexagons sharing three pairwise apart vertices: not well-attached
     [(0, 6, 1, 7, 2, 8), (0, 9, 1, 10, 2, 11)],
     # two bad pairs: the error names the smaller
@@ -189,7 +191,10 @@ def test_glued_polygons_match_references(case):
     [(0, 1, 6, 2, 7, 8), (0, 1, 9, 2, 10, 11)],
     # quads sharing opposite corners, then a later pair sharing an edge
     [(0, 6, 1, 7), (0, 8, 1, 9), (2, 3, 10, 11), (2, 3, 4, 5)],
-])
+]
+
+
+@pytest.mark.parametrize("polygons", GLUED)
 def test_glued_examples_match_references(polygons):
     edges = sorted({edge_key(p[i - 1], p[i]) for p in polygons
                     for i in range(len(p))})
@@ -212,16 +217,44 @@ def _check_against_references(n, edges, polygons):
         assert {cid: space.cells[cid].loop for cid in loops} == loops
 
 
-@pytest.mark.parametrize("d, n", [(3, 4), (4, 2), (4, 3), (5, 1)])
-def test_connectivity_search_only_for_three_shared_vertices(monkeypatch,
-                                                            d, n):
-    # one shared vertex is connected and two are an edge or not; only a
-    # pair sharing three vertices or more runs the search
-    calls = _count_calls(monkeypatch, complexes, "_induces_connected")
-    space, _ = gen.lattice_sphere(d, n)
-    wide = [tuple(sorted(set(a[1]) & set(b[1])))
-            for k in range(2, space.top_dim + 1)
-            for a, b in itertools.combinations(space.cells_of_dim(k), 2)
-            if len(set(a[1]) & set(b[1])) >= 3]
-    assert sorted(tuple(vs) for _, vs in calls) == sorted(wide)
-    assert bool(wide) is (d > 3)
+# the generated spaces, with lattice spheres too large for the references
+SEARCH_FREE = {**BUILDERS,
+               "S(4, 3)": lambda: gen.lattice_sphere(4, 3)[0],
+               "S(5, 1)": lambda: gen.lattice_sphere(5, 1)[0]}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_FREE))
+def test_generated_spaces_run_no_connectivity_search(monkeypatch, name):
+    # a pair of cells sharing the vertex set of a cell (a vertex, an edge,
+    # a face) is connected without a search, and no generated space has
+    # another kind of pair
+    calls = _count_calls(monkeypatch, complexes, "_spans")
+    SEARCH_FREE[name]()
+    assert calls == []
+
+
+@pytest.mark.parametrize("polygons", GLUED)
+def test_connectivity_search_only_for_non_cell_intersections(monkeypatch,
+                                                             polygons):
+    # exactly the pairs, in ascending order up to the first that fails,
+    # whose shared vertices are not a vertex, an edge or a polygon
+    edges = sorted({edge_key(p[i - 1], p[i]) for p in polygons
+                    for i in range(len(p))})
+    n = 1 + max(max(p) for p in polygons)
+    faces = {frozenset(c) for c in [(v,) for v in range(n)] + edges
+             + polygons}
+    graph = nx.Graph(edges)
+    want = []
+    for a, b in itertools.combinations(sorted(map(sorted, polygons)), 2):
+        inter = set(a) & set(b)
+        if inter and frozenset(inter) not in faces:
+            want.append(tuple(sorted(inter)))
+            if not nx.is_connected(graph.subgraph(inter)):
+                break
+    calls = _count_calls(monkeypatch, complexes, "_spans")
+    try:
+        DiscreteSpace(n, edges, {2: polygons})
+    except InputError:
+        pass
+    assert [tuple(verts) for _, verts, _ in calls] == want
+    assert want

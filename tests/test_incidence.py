@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from celltopo import generators as gen
 from celltopo import io as dio
 from celltopo.complexes import (DiscreteSpace, _face_connected, _levels,
-                                closure, edge_key, face_components,
+                                _spans, closure, edge_key, face_components,
                                 face_counts, is_closed, walk)
 from celltopo.errors import InputError
 
@@ -127,6 +127,43 @@ def test_levels_match_networkx_distances(case):
                     space.cofaces(face).index(cell))
 
         assert list(level) == sorted(level, key=found)
+
+
+SPAN_SPACES = {
+    "S(3, 3)": gen.lattice_sphere(3, 3)[0],
+    "S(4, 2)": gen.lattice_sphere(4, 2)[0],
+    "torus": gen.torus_grid(4, 5),
+}
+
+
+@st.composite
+def vertex_edge_sets(draw):
+    """A space, a set of its vertices and a set of its edges, drawn near one
+    vertex so that connected sets are common: the edges come from the
+    closure of the cells at the vertex, the vertices from their ends, and
+    now and then one vertex from anywhere."""
+    space = SPAN_SPACES[draw(st.sampled_from(sorted(SPAN_SPACES)))]
+    v = draw(st.integers(0, space.n_vertices - 1))
+    near = sorted(e for _, e in closure(space, space.cells_containing(v), 1))
+    edges = draw(st.sets(st.sampled_from(near), max_size=8))
+    ends = sorted({u for e in edges for u in e}) or [v]
+    verts = set(ends) if draw(st.booleans()) else \
+        draw(st.sets(st.sampled_from(ends)))
+    if draw(st.booleans()):
+        verts.add(draw(st.integers(0, space.n_vertices - 1)))
+    return space, frozenset(verts), sorted(edges)
+
+
+@PROPS
+@given(vertex_edge_sets())
+def test_spans_matches_networkx(case):
+    space, verts, edges = case
+    # the graph of the edges on the vertices is one component with no
+    # vertex beyond them
+    graph = nx.Graph(edges)
+    graph.add_nodes_from(verts)
+    want = len(graph) > 0 and set(graph) == verts and nx.is_connected(graph)
+    assert _spans(space, verts, edges) is want
 
 
 def _recursive_closure(space, cid):

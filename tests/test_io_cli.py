@@ -489,7 +489,16 @@ def _trace_text(simplex4):
     ("dsc", "4 5 7 9", "4 5 7 -1"),
     ("dsc", "4 5 7 9", "4 5 7 12"),
     ("dsc", "chain eq 1\n4 5 7 9", "chain eq 0\n6"),
+    ("dsc", "dim 2", "dim 2 junk"),
+    ("dsc", "oriented 1", "oriented 1 0"),
+    ("dsc", "vertices 6", "vertices 6 9"),
+    ("dsc", "edges 12", "edges 12 x"),
+    ("dsc", "cells 2 8", "cells 2 8 8"),
+    ("dsc", "chain eq 1", "chain eq 1 x"),
     ("trace", "trace contract 3", "trace contract"),
+    ("trace", "trace contract 3", "trace contract 3 0"),
+    ("trace", "trace contract 3", "trace sideways 3"),
+    ("trace", "seed 1", "seed 1 7"),
     ("trace", "seed 1", "seed -1"),
     ("trace", "seed 1", "seed x"),
     ("trace", "step 2 | 1 | 2 5 8", "step 5 | 1 | 2 5 8"),
@@ -497,8 +506,9 @@ def _trace_text(simplex4):
 ])
 def test_malformed_file_is_parse_error(kind, old, new, octa, simplex4,
                                        tmp_path, capsys):
-    # every malformed header integer or index exits 2 with a message, never
-    # with a traceback or a silently wrapped index
+    # every malformed header integer, index, extra header field or trace
+    # direction exits 2 with a message, never with a traceback or a
+    # silently wrapped index
     if kind == "dsc":
         text = dio.save_complex(octa, {"eq": gen.equator(octa, "octahedron")})
     else:
