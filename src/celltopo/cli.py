@@ -231,19 +231,20 @@ def cmd_export(args) -> int:
         print("invalid input: %s" % exc, file=sys.stderr)
         return EXIT_VIOLATION
     written = []
+    # each surface is sorted once, for its OFF faces and its log line
+    ordered = [sorted(cells) for cells in snapshots]
     log = ["snapshots %d" % len(snapshots)]
     if args.format == "off":
         coords = dio.spectral_layout(space)
-        docs = dio.off_snapshots(space, snapshots, coords)
+        docs = dio.off_snapshots(space, ordered, coords)
         for i, doc in enumerate(docs):
             path = "%s_step%03d.off" % (prefix, i)
             _write(path, doc)
             written.append(path)
     token = {c: str(c) for c in set().union(*snapshots)}
-    for i, cells in enumerate(snapshots):
+    for i, cells in enumerate(ordered):
         log.append("step %d cells %d: %s"
-                   % (i, len(cells),
-                      " ".join(token[c] for c in sorted(cells))))
+                   % (i, len(cells), " ".join(token[c] for c in cells)))
     if trace is not None:
         for i, r in enumerate(trace.removals):
             log.append("removal %d: %s" % (i, (r.cell,)))

@@ -20,13 +20,20 @@ Nothing but blank lines may follow the last chain of a complex file or the
 last step of a trace file.
 Serialization is canonical: sorted edges, cells sorted by vertex tuple,
 chains sorted by name, so loading and saving again is byte identical.
+
+An OFF export draws every vertex at synthetic coordinates from
+``spectral_layout``: four anchors spread by breadth-first distance, then a
+fixed number of barycentric sweeps.  The rule uses exact constants and
+elementwise arithmetic only, so the coordinates do not depend on the
+numpy or BLAS build, and it runs in time linear in the vertices and edges.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .complexes import CellChain, DiscreteSpace, edge_key, is_closed
+from .complexes import (CellChain, DiscreteSpace, _levels, edge_key,
+                        is_closed)
 from .errors import InputError, TopologyError
 from .separation import ContractionTrace, Removal, _submanifold_cells, replay
 
@@ -330,42 +337,94 @@ def load_trace(text: str):
 # -- OFF export ---------------------------------------------------------------
 
 
-def spectral_layout(space: DiscreteSpace) -> np.ndarray:
-    """Deterministic 3D coordinates from the graph Laplacian.
+# The corners of a regular tetrahedron, one per anchor, and the number of
+# smoothing sweeps: both exact, so the layout is the same on every build.
+_CORNERS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
+                     [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+_SWEEPS = 30
 
-    The three eigenvectors after the constant one spread the vertices;
-    each eigenvector's sign is fixed by making its first nonzero entry
-    positive, so layouts are reproducible.
+
+def _vertex_distances(space: DiscreteSpace, a: int) -> np.ndarray:
+    """Edge distances from vertex ``a``, read from the level walk over the
+    edges at ``a``: a vertex is one step beyond the first level holding an
+    edge at it.  A vertex the walk cannot reach gets ``n_vertices``, more
+    than any distance it can reach."""
+    n = space.n_vertices
+    dist = [n] * n
+    dist[a] = 0
+    for step, level in enumerate(_levels(space, space.cofaces((0, (a,)))),
+                                 1):
+        for e in level:
+            for w in e[1]:
+                if dist[w] == n:
+                    dist[w] = step
+    return np.array(dist, dtype=np.int64)
+
+
+def spectral_layout(space: DiscreteSpace) -> np.ndarray:
+    """Deterministic 3D coordinates: a barycentric layout after Tutte
+    ("How to draw a graph", 1963), in time and memory linear in the
+    vertices and edges.
+
+    - Anchors: vertex 0, then up to three more, each the vertex farthest
+      from the anchors so far (its nearest anchor the farthest away),
+      smallest id first on a tie.  A space of fewer than four vertices
+      anchors them all.
+    - Start: each vertex sits at minus the sum, over the anchors, of its
+      edge distance to the anchor times that anchor's tetrahedron corner
+      (``_CORNERS``).  A vertex the walk from an anchor cannot reach, as
+      in another component or with no edge at all, counts as
+      ``n_vertices`` away from it.
+    - Sweeps: ``_SWEEPS`` Jacobi sweeps move every vertex that is not an
+      anchor and has an edge to the mean of its neighbours' positions
+      before the sweep, added in ascending neighbour id.  Anchors and
+      vertices without an edge keep their start.
+
+    Every float64 step is an elementwise ``+ - * /`` in a fixed order,
+    with no reduction and no BLAS or LAPACK call, so the coordinates are
+    the same on every build; they are rounded to 6 decimals.  The name is
+    older than the rule: the bench's traced spans look the layout up as
+    ``spectral_layout``.
     """
     n = space.n_vertices
-    lap = np.zeros((n, n))
-    for u, v in sorted(space.edges):
-        lap[u, u] += 1
-        lap[v, v] += 1
-        lap[u, v] -= 1
-        lap[v, u] -= 1
-    _, vecs = np.linalg.eigh(lap)
-    coords = np.zeros((n, 3))
-    for axis in range(min(3, n - 1)):
-        col = vecs[:, axis + 1]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0:
-            col = -col
-        coords[:, axis] = col
-    return np.round(coords, 6)
+    neighbors = [space.vertex_neighbors(v) for v in range(n)]
+    degree = np.array([len(ns) for ns in neighbors], dtype=np.int64)
+    moves = degree > 0
+    pos = np.zeros((n, 3))
+    nearest = np.full(n, n + 1, dtype=np.int64)
+    for corner in _CORNERS[:n]:
+        a = int(np.argmax(nearest))
+        moves[a] = False
+        dist = _vertex_distances(space, a)
+        pos = pos - dist[:, None] * corner
+        nearest = np.minimum(nearest, dist)
+    # column j: the vertices with a (j+1)-th neighbour, and that neighbour
+    columns = []
+    for j in range(int(degree.max())):
+        rows = np.flatnonzero(degree > j)
+        columns.append((rows, np.array([neighbors[v][j] for v in rows],
+                                       dtype=np.int64)))
+    divisor = np.maximum(degree, 1)[:, None].astype(np.float64)
+    for _ in range(_SWEEPS):
+        total = np.zeros((n, 3))
+        for rows, cols in columns:
+            total[rows] = total[rows] + pos[cols]
+        pos = np.where(moves[:, None], total / divisor, pos)
+    return np.round(pos, 6)
 
 
 def off_snapshot(space: DiscreteSpace, cells, coords: np.ndarray) -> str:
-    """An OFF document showing the given cells as faces.
+    """An OFF document showing the given cells as faces, in sorted order.
 
     Cells of dimension 1 are written as degenerate two-vertex faces so a
     curve snapshot stays viewable.
     """
-    return next(off_snapshots(space, (cells,), coords))
+    return next(off_snapshots(space, (sorted(cells),), coords))
 
 
 def off_snapshots(space: DiscreteSpace, snapshots, coords: np.ndarray):
-    """One ``off_snapshot`` document per cell set of ``snapshots``, in order.
+    """One ``off_snapshot`` document per cell sequence of ``snapshots``,
+    in order, each with its faces in the order given.
 
     The vertex block is the same in every document, so it is formatted
     once, and so is each cell's face line.
@@ -375,7 +434,7 @@ def off_snapshots(space: DiscreteSpace, snapshots, coords: np.ndarray):
     line_of: dict = {}
     for cells in snapshots:
         faces = []
-        for cid in sorted(cells):
+        for cid in cells:
             if cid not in line_of:
                 loop = space.cells[cid].loop if cid[0] >= 2 else None
                 f = loop or cid[1]

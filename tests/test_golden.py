@@ -100,7 +100,7 @@ GOLDEN = {
         'contract':
             '96e5af973d33b92b5a3e7281121d0f1b2b654f6c7f41937183ad8e0f6ff21a6a',
         'export':
-            'c2771912216978006f9631341c22627bcb33fe73b4c2a984698ddf5df55b0801',
+            '681b4b3819b2b022b9ef96e38b4980c11c1a92c5203c664215aa50cd0a137d33',
         'export-trace':
             '3c1037601155e1d31e0abb907b8d9efd577e191d862d746ab9f309b9b2bf2dab',
     },
@@ -114,9 +114,9 @@ GOLDEN = {
         'contract':
             '705d3ff30a53dafdc4fd84bd210c07cebc614f3eb4ff607350cb411b27cf6a67',
         'export':
-            '6a41c5d8b9f2bdd417c18aef9b23f57870640ecff0813e6533d6268f8a8a2a6e',
+            'afb1341cfde38022c55393f7bbcff3eed08f06257c583996031014a6cdc08671',
         'export-trace':
-            '687bce9f851c09186cc7488a94edcd03425e83b73823d1b523ab29fbbb220a1c',
+            '9dc3dd3dd82c6c65f8bb87b91e7e522328b76e862a7581d233085f17a7255fa7',
     },
     'simplex4': {
         'check':
@@ -128,9 +128,9 @@ GOLDEN = {
         'contract':
             '23162c96b3ca1e20904224768df51b1aea6f922e26bc85c4702ef6c66a95c0e8',
         'export':
-            '08d1aa95016ba8ebfad78fd32f8de98209209192182d7000b800457613b83434',
+            '7f4eae4614d2a6bcace4fb7458167347b3642954a9447cb4857d778fc81552e3',
         'export-trace':
-            'a769f1c2d5edd1ac674ee682e42afaa71b547d4599ad97b0b759da53aa12ea3a',
+            '7b843747c09636aa45a78771fad59fabf6f9bec113b1cfc8041b968b85e33ce1',
     },
     'simplex5': {
         'check':
@@ -142,9 +142,9 @@ GOLDEN = {
         'contract':
             'af28e99c606564398f2e286f1e2b7643871f0e397aa43d29dc5fee56d0834c9d',
         'export':
-            '02f388ca4431a42153a2bc635d531fdf7d85f3aa5ba6a2b4745c5edbf9780649',
+            '1f65d1a188eb63e8879d3b0ae690ab71281b6a40006c839c3d569e69d0574a2a',
         'export-trace':
-            '9e27999d7c3fc86747ef83867c8d47291899e38134fd9d8ac3d8e37a437fcbe1',
+            'e7f52bed5817400a089baf03ed9251281f90452c249cfb70c630de43cc7f1042',
     },
     'torus44': {
         'check':
@@ -156,7 +156,7 @@ GOLDEN = {
         'contract':
             '5d3972239b60779f94171cd962e16f3786072d712eb833632a5f876e1dfe0559',
         'export':
-            '6550b4efb17d5b13f7f57bef274f1a2325065cc08844dc296878a861051929fc',
+            '81aab4d1c0c9b8981607a5e8730e9e38609993b39aeaee91857a66604361d3d6',
         'export-trace':
             '3c1037601155e1d31e0abb907b8d9efd577e191d862d746ab9f309b9b2bf2dab',
     },

@@ -1,3 +1,6 @@
+import time
+
+import numpy as np
 import pytest
 
 from celltopo import cli
@@ -229,15 +232,84 @@ def test_bad_boundary_index(octa):
         dio.load_complex("\n".join(lines))
 
 
-# -- spectral layout and OFF ----------------------------------------------------
+# -- layout and OFF -----------------------------------------------------------
 
 
 def test_layout_deterministic(octa):
-    import numpy as np
+    # exact literals: the rule uses exact constants and elementwise float64
+    # arithmetic only, so every numpy and BLAS build gives these bytes
+    expected = np.array([[0.0, 2.0, 2.0],
+                         [-1.0, 1.0, -1.0],
+                         [-1.0, -1.0, 1.0],
+                         [-0.333333, -0.2, 0.2],
+                         [-0.333333, 0.2, -0.2],
+                         [0.0, -2.0, -2.0]])
     a = dio.spectral_layout(octa)
-    b = dio.spectral_layout(octa)
-    assert np.array_equal(a, b)
-    assert a.shape == (6, 3)
+    assert a.dtype == np.float64 and a.shape == (6, 3)
+    assert np.array_equal(a, expected)
+    assert np.array_equal(dio.spectral_layout(octa), a)
+
+
+@pytest.mark.parametrize("n", [4, 10, 32])
+def test_layout_gives_lattice_spheres_distinct_rows(n):
+    space, _ = gen.lattice_sphere(3, n)
+    start = time.perf_counter()
+    coords = dio.spectral_layout(space)
+    elapsed = time.perf_counter() - start
+    assert len(np.unique(coords, axis=0)) == space.n_vertices
+    # S(3, 32) has 6146 vertices: a dense n x n eigensolve took about 20 s
+    # there, the linear layout well under a second
+    assert elapsed < 5.0
+
+
+def test_layout_survives_a_file_round_trip(octa, torus44):
+    for space in (octa, torus44, gen.lattice_sphere(3, 4)[0],
+                  gen.lattice_sphere(4, 2)[0]):
+        loaded, _ = dio.load_complex(dio.save_complex(space))
+        assert np.array_equal(dio.spectral_layout(loaded),
+                              dio.spectral_layout(space))
+
+
+def _two_octahedra():
+    octa = gen.octahedron()
+    tris = [cid[1] for cid in octa.cells_of_dim(2)]
+    return DiscreteSpace(
+        12, list(octa.edges) + [(u + 6, v + 6) for u, v in octa.edges],
+        {2: tris + [tuple(v + 6 for v in t) for t in tris]})
+
+
+def _isolated_vertex():
+    octa = gen.octahedron()
+    return DiscreteSpace(7, octa.edges,
+                         {2: [cid[1] for cid in octa.cells_of_dim(2)]})
+
+
+EDGE_INPUTS = {
+    # check_regular passes it; vertex 6 has no edge
+    "isolated-vertex": _isolated_vertex,
+    # the walk from one octahedron never reaches the other
+    "two-octahedra": _two_octahedra,
+    # fewer vertices than anchors
+    "triangle": lambda: DiscreteSpace(3, [(0, 1), (1, 2), (0, 2)],
+                                      {2: [(0, 1, 2)]}),
+    "one-vertex": lambda: DiscreteSpace(1, [], {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
+def test_cmd_export_lays_out_edge_inputs(name, tmp_path, capsys):
+    space = EDGE_INPUTS[name]()
+    path = tmp_path / "in.dsc"
+    path.write_text(dio.save_complex(space))
+    prefix = str(tmp_path / "snap")
+    assert cli.main(["export", str(path), "--out", prefix]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    lines = (tmp_path / "snap_step000.off").read_text().splitlines()
+    n = space.n_vertices
+    coords = np.array([list(map(float, line.split()))
+                       for line in lines[2:2 + n]])
+    assert coords.shape == (n, 3) and np.isfinite(coords).all()
+    assert np.allclose(coords, dio.spectral_layout(space), rtol=0, atol=1e-6)
 
 
 def test_off_snapshot(octa):
