@@ -6,25 +6,25 @@ a closed minimal cycle of ``(i-1)``-cells.  Vertices are dense integers,
 edges are sorted pairs, and a cell id is the pair ``(dim, sorted vertex
 tuple)``, so every iteration order in the package is deterministic.
 
-Construction enforces the structural invariants once and builds one
-incidence index of three maps: the cells of each dimension, the cells at
-each vertex and the cofaces of each cell.  Cells sharing a face are found
-by one walk, from a cell's boundary faces to their cofaces, at every
-dimension: a vertex's neighbours are the far ends of its edges, its
-cofaces.  Nothing stores either adjacency.  Two breadth-first walks run
-over it.  The flood (``_flood``) asks whether cells are connected, with
-two entry points: ``face_components`` lists the sorted components, and
-``_face_connected`` floods once for a yes or no, which ``_spans`` asks of
-edges to tell whether they connect exactly a vertex set.  The level walk
-(``_levels``) asks how far and across which face: it yields one level at
-a time, each cell with the cell and face that first reached it.  The two
-stay apart because the flood keeps only the set of cells not yet
-reached, while a level walk builds a dict per level; answering
-``_face_connected`` with ``_levels`` made ``check_regular`` 20 % slower
-on the lattice sphere ``S(3, 10)`` and 65 % slower on ``S(4, 3)``
-(best of 7 on a 2-vCPU Xeon VM).  Afterwards a space is immutable;
-every query reads the index and is a pure function, safe to run
-concurrently.
+Construction enforces the structural invariants once and numbers the
+cells in sorted id order, so that int order is id order and a vertex's
+number is the vertex itself.  The incidence index keeps the cells of each
+dimension and at each vertex as ids, and four maps on numbers: ``_ids``
+(number to id), ``_num`` (id to number), and each cell's boundary
+``_bnd`` and cofaces ``_cof``, so that walks hash small ints, not nested
+id tuples.  Cells sharing a face are found by one walk, from a cell's
+boundary faces to their cofaces; nothing stores either adjacency.  The
+load checks, ``check_regular`` and the two breadth-first walks run on
+numbers.  The flood (``_flood``) asks whether cells are connected;
+``face_components`` and ``_face_connected`` convert ids for it.  The
+level walk (``_levels``) asks how far and across which face: it converts
+its inputs and yields one id-keyed level at a time, each cell with the
+cell and face that first reached it.  The two stay apart because the
+flood keeps only the set of cells not yet reached, while a level walk
+builds a dict per level (``check_regular`` on ``_levels`` was 20 to 65 %
+slower on lattice spheres, best of 7 on a 2-vCPU Xeon VM).  Ids stay
+public.  A built space is immutable; every query reads the index and is a
+pure function, safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -181,11 +181,12 @@ class DiscreteSpace:
         self.cells: dict = {}
         self._dims: dict = {}
         self._at_vertex: dict = {v: [] for v in range(n_vertices)}
-        self._cofaces: dict = {}
+        # numbered as they register, in id order: vertex v is number v
+        self._ids, self._num, self._bnd, self._cof = [], {}, [], []
         for v in range(n_vertices):
-            self._register(Cell(0, (v,), ()))
+            self._register(Cell(0, (v,), ()), ())
         for e in sorted(self.edges):
-            self._register(Cell(1, e, ((0, (e[0],)), (0, (e[1],)))))
+            self._register(Cell(1, e, ((0, (e[0],)), (0, (e[1],)))), e)
 
         dims = sorted(d for d in cells_by_dim if cells_by_dim[d])
         if any(d < 2 for d in dims):
@@ -194,7 +195,9 @@ class DiscreteSpace:
         boundaries = boundaries or {}
 
         for d in dims:
-            seen = set()
+            # validated in input order, so the first bad cell given is the
+            # one reported, and then registered in id order
+            seen, valid = set(), []
             for verts in cells_by_dim[d]:
                 verts = tuple(sorted(set(verts)))
                 if verts in seen:
@@ -208,12 +211,14 @@ class DiscreteSpace:
                     bnd = {c for v in verts for c in self._at_vertex.get(v, ())
                            if c[0] == d - 1 and vs.issuperset(c[1])}
                 bnd = tuple(sorted(bnd))
-                loop = self._validate_boundary(d, verts, bnd)
-                self._register(Cell(d, verts, bnd, loop))
-
-        for index in (self._dims, self._at_vertex, self._cofaces):
-            for cs in index.values():
-                cs.sort()
+                valid.append((verts, bnd,
+                              self._validate_boundary(d, verts, bnd)))
+            for verts, bnd, loop in sorted(valid):
+                self._register(Cell(d, verts, bnd, loop),
+                               tuple(map(self._num.__getitem__, bnd)))
+        # frozen as tuples: the collector stops tracking a tuple of ints
+        self._ids, self._bnd = tuple(self._ids), tuple(self._bnd)
+        self._cof = tuple(map(tuple, self._cof))
 
         self._check_well_attachment()
         if self.top_dim == 2:
@@ -221,14 +226,24 @@ class DiscreteSpace:
         else:
             self.oriented = bool(oriented) if oriented is not None else False
 
-    def _register(self, cell: Cell):
+    def _register(self, cell: Cell, nums: tuple):
         cid = (cell.dim, cell.verts)
         self.cells[cid] = cell
+        self._num[cid] = i = len(self._ids)
+        self._ids.append(cid)
         self._dims.setdefault(cell.dim, []).append(cid)
         for v in cell.verts:
             self._at_vertex[v].append(cid)
-        for b in cell.boundary:
-            self._cofaces.setdefault(b, []).append(cid)
+        self._bnd.append(nums)
+        self._cof.append([])
+        for b in nums:
+            self._cof[b].append(i)
+
+    def _numbers(self, d: int) -> range:
+        """The d-cells' numbers, consecutive since ids sort by dimension."""
+        cs = self.cells_of_dim(d)
+        first = self._num[cs[0]] if cs else 0
+        return range(first, first + len(cs))
 
     # -- construction-time validation -------------------------------------
 
@@ -238,7 +253,7 @@ class DiscreteSpace:
         if not bnd:
             raise InputError("%r has an empty boundary" % (cid,))
         for b in bnd:
-            if b not in self.cells or b[0] != d - 1:
+            if b not in self._num or b[0] != d - 1:
                 raise InputError("%r: boundary entry %r is not a known %d-cell"
                                  % (cid, b, d - 1))
         cover = set()
@@ -271,33 +286,33 @@ class DiscreteSpace:
     def _check_well_attachment(self):
         """Any two same-dimension cells intersect in a connected vertex set.
 
-        Pairs go in ascending (a, b) order.  One pass over the d-cells at
-        a's vertices collects the vertices a shares with each later cell b.
-        A shared set that is the vertex set of a cell is connected: every
-        boundary was checked connected, so every cell's vertex set is.
-        That covers one vertex, an edge and a shared face; only any other
-        set is tested with ``_spans`` on the edges it induces.
+        Pairs go in ascending (a, b) order of numbers.  One pass over the
+        d-cells at a's vertices collects the vertices a shares with each
+        later cell b.  A shared set that is the vertex set of a cell is
+        connected: every boundary was checked connected, so every cell's
+        vertex set is.  That covers one vertex (skipped), an edge and a
+        shared face; only any other set is tested with ``_spans``.
         """
-        cells = self.cells
+        cells, ids = self.cells, self._ids
         for d in range(2, self.top_dim + 1):
-            cs = self.cells_of_dim(d)
+            numbers = self._numbers(d)
             # each vertex's d-cells, descending: the last one is the
             # smallest not yet visited
             at: dict = {}
-            for c in reversed(cs):
-                for v in c[1]:
+            for c in reversed(numbers):
+                for v in ids[c][1]:
                     at.setdefault(v, []).append(c)
-            for a in cs:
+            for a in numbers:
                 shared: dict = {}
-                for v in a[1]:
+                for v in ids[a][1]:
                     later = at[v]
                     later.pop()
                     for b in later:
                         shared.setdefault(b, []).append(v)
-                for b, inter in sorted(shared.items()):
+                for b, inter in sorted([(b, tuple(vs)) for b, vs in
+                                        shared.items() if len(vs) > 1]):
                     # a vertex, an edge or a simplex has one vertex more
                     # than its dimension: the first lookup finds most
-                    inter = tuple(inter)
                     if (len(inter) - 1, inter) not in cells and \
                             not any((k, inter) in cells for k in range(d)) \
                             and not _spans(self, inter,
@@ -305,7 +320,7 @@ class DiscreteSpace:
                         raise InputError(
                             "cells %r and %r are not well-attached: their "
                             "intersection %r induces a disconnected subgraph"
-                            % (a, b, inter))
+                            % (ids[a], ids[b], inter))
 
     def _orient_two_cells(self) -> bool:
         """Flip 2-cell loops so adjacent cells traverse shared edges in
@@ -331,10 +346,11 @@ class DiscreteSpace:
                     for cid, via in level.items():
                         flipped[cid] = via is not None and \
                             (via[1][1] in forward[cid]) == walks(*via)
-        for e in self.cells_of_dim(1):
-            pair = self.cofaces(e)
+        ids = self._ids
+        for e in self._numbers(1):
+            pair = self._cof[e]
             if len(pair) > 2 or len(pair) == 2 and \
-                    walks(pair[0], e) == walks(pair[1], e):
+                    walks(ids[pair[0]], ids[e]) == walks(ids[pair[1]], ids[e]):
                 return False
         for cid, f in flipped.items():
             if f:
@@ -362,20 +378,29 @@ class DiscreteSpace:
     def cells_containing(self, v: int, dim: int | None = None) -> list:
         """The cells having ``v`` as a vertex (only the ``dim``-cells when
         ``dim`` is given), sorted."""
-        cs = self._at_vertex[v]
-        if dim is None:
-            return cs
-        return [c for c in cs if c[0] == dim]
+        try:
+            cs = self._at_vertex[v]
+        except KeyError:
+            raise InputError("unknown vertex id %r" % (v,)) from None
+        return cs if dim is None else [c for c in cs if c[0] == dim]
 
     def cofaces(self, cid: CellId) -> list:
         """Cells of dimension dim+1 whose boundary contains ``cid``, sorted."""
-        return self._cofaces.get(cid, [])
+        ids = self._ids
+        try:
+            return [ids[n] for n in self._cof[self._num[cid]]]
+        except KeyError:
+            raise InputError("unknown cell %r" % (cid,)) from None
 
     def cell_neighbors(self, cid: CellId) -> tuple:
         """Cells of the same dimension sharing a boundary face with ``cid``,
         sorted: the cofaces of its faces, read on each call."""
-        return tuple(sorted({n for f in self.cells[cid].boundary
-                             for n in self.cofaces(f) if n != cid}))
+        ids, cof = self._ids, self._cof
+        i = self._num.get(cid)
+        if i is None:
+            raise InputError("unknown cell %r" % (cid,))
+        return tuple(ids[n] for n in sorted(
+            {n for f in self._bnd[i] for n in cof[f]} - {i}))
 
 
 # -- incidence -------------------------------------------------------------
@@ -397,24 +422,23 @@ def is_closed(space: DiscreteSpace, cells) -> bool:
                                face_counts(space, cells).values())
 
 
-def _flood(space: DiscreteSpace, start: CellId, rest: set,
+def _flood(space: DiscreteSpace, start: int, rest: set,
            blocked=frozenset()) -> list:
     """``start`` and every cell of ``rest`` it reaches through shared
     boundary faces, never through a face in ``blocked``, in breadth-first
-    order.  Each reached cell is removed from ``rest``, which is all the
-    walk keeps; the walk ends early once ``rest`` is empty.
+    order, all numbers.  Each reached cell is removed from ``rest``, which
+    is all the walk keeps; the walk ends early once ``rest`` is empty.
     """
-    cells, cofaces = space.cells, space._cofaces
+    bnd, cof = space._bnd, space._cof
     rest.discard(start)
     comp = [start]
     for cur in comp:
         if not rest:
             break
-        for f in cells[cur].boundary:
+        for f in bnd[cur]:
             if blocked and f in blocked:
                 continue
-            # f bounds cur, so it has cofaces
-            for n in cofaces[f]:
+            for n in cof[f]:
                 if n in rest:
                     rest.remove(n)
                     comp.append(n)
@@ -428,23 +452,26 @@ def _levels(space: DiscreteSpace, sources, region=None,
     to the first cell of the level before that reached it and their
     shared face, a source to None.  Only cells of ``region`` are entered
     when it is given, and no face in ``blocked`` is crossed.  A caller
-    stops the walk by leaving its loop."""
-    cells, cofaces = space.cells, space._cofaces
+    stops the walk by leaving its loop.  It walks numbers, yields ids."""
+    ids, num, bnd, cof = space._ids, space._num, space._bnd, space._cof
+    region = None if region is None else {num[c] for c in region}
+    blocked = {num[f] for f in blocked} if blocked else ()
     level = dict.fromkeys(sources)
-    seen = set(level)
+    cur = [num[c] for c in level]
+    seen = set(cur)
     while level:
         yield level
-        nxt: dict = {}
-        for cur in level:
-            for f in cells[cur].boundary:
-                if blocked and f in blocked:
+        level, nxt = {}, []
+        for c in cur:
+            for f in bnd[c]:
+                if f in blocked:
                     continue
-                # f bounds cur, so it has cofaces
-                for n in cofaces[f]:
+                for n in cof[f]:
                     if n not in seen and (region is None or n in region):
                         seen.add(n)
-                        nxt[n] = (cur, f)
-        level = nxt
+                        nxt.append(n)
+                        level[ids[n]] = (ids[c], ids[f])
+        cur = nxt
 
 
 def face_components(space: DiscreteSpace, cells,
@@ -455,15 +482,17 @@ def face_components(space: DiscreteSpace, cells,
     Each component is a sorted list, and components come in the order of
     their smallest cell.  The shared faces of 1-cells are vertices.
     """
-    rest = set(cells)
-    return [sorted(_flood(space, c, rest, blocked))
+    ids, num = space._ids, space._num
+    rest = {num[c] for c in cells}
+    blocked = {num[f] for f in blocked}
+    return [[ids[n] for n in sorted(_flood(space, c, rest, blocked))]
             for c in sorted(rest) if c in rest]
 
 
 def _face_connected(space: DiscreteSpace, cells) -> bool:
     """True iff ``cells`` is non-empty and one component under
     ``face_components``'s adjacency: one flood, nothing sorted."""
-    rest = set(cells)
+    rest = set(map(space._num.__getitem__, cells))
     if not rest:
         return False
     _flood(space, rest.pop(), rest)
@@ -610,20 +639,19 @@ def check_regular(space: DiscreteSpace) -> CheckReport:
     """
     k = space.top_dim
     report = CheckReport(True)
-    top = space.cells_of_dim(k)
-    for f in space.cells_of_dim(k - 1):
-        n = len(space.cofaces(f))
+    ids, bnd, cof = space._ids, space._bnd, space._cof
+    for f in space._numbers(k - 1):
+        n = len(cof[f])
         if n not in (1, 2):
             report.add("clause 2: %d-cell %r lies in %d %d-cells"
-                       % (k - 1, f, n, k))
+                       % (k - 1, ids[f], n, k))
 
-    if top:
-        if not _face_connected(space, top):
-            reached = len(face_components(space, top)[0])
-            report.add("clause 1: %d-cells are not (k-1)-connected "
-                       "(%d of %d reachable)" % (k, reached, len(top)))
-    else:
+    top = space._numbers(k)
+    if not top:
         report.add("clause 1: the space has no %d-cells" % k)
+    elif (reached := len(_flood(space, top[0], set(top)))) < len(top):
+        report.add("clause 1: %d-cells are not (k-1)-connected "
+                   "(%d of %d reachable)" % (k, reached, len(top)))
 
     # clause 3 holds by construction: k is the highest registry
 
@@ -631,17 +659,22 @@ def check_regular(space: DiscreteSpace) -> CheckReport:
         # links in a 1-manifold are vertex pairs (0-spheres); there is no
         # connectivity left to check
         return report
-    cells = space.cells
-    for v, at in space._at_vertex.items():
-        # the link's (k-1)-cells: the faces of the k-cells at v avoiding v
-        lk = {f for cid in at if cid[0] == k
-              for f in cells[cid].boundary if v not in f[1]}
-        if not lk:
-            if space.cells_containing(v, 1):
-                report.add("clause 4: link of vertex %d has no %d-cells"
-                           % (v, k - 1))
-        elif not _face_connected(space, lk):
-            report.add("clause 4: link of vertex %d is disconnected" % v)
+    # a vertex's link (k-1)-cells: the faces of its k-cells avoiding it
+    links = [set() for _ in range(space.n_vertices)]
+    for c in top:
+        for f in bnd[c]:
+            face = ids[f][1]
+            for v in ids[c][1]:
+                if v not in face:
+                    links[v].add(f)
+    for v, lk in enumerate(links):
+        if lk:
+            _flood(space, lk.pop(), lk)
+            if lk:
+                report.add("clause 4: link of vertex %d is disconnected" % v)
+        elif space.cells_containing(v, 1):
+            report.add("clause 4: link of vertex %d has no %d-cells"
+                       % (v, k - 1))
     return report
 
 

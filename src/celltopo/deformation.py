@@ -240,7 +240,8 @@ def _cell_moves(space: DiscreteSpace, chain: CellChain, pool=None):
     the curve's edges are tried; ``single_cell_move`` rejects every other
     cell.
     """
-    touching = {cid for f in chain.cells for cid in space.cofaces(f)}
+    ids, num, cof = space._ids, space._num, space._cof
+    touching = {ids[c] for f in chain.cells for c in cof[num[f]]}
     for cell in sorted(touching) if pool is None else pool:
         if cell in touching:
             nxt = single_cell_move(space, chain, cell)
@@ -698,10 +699,13 @@ def _deepening_search(space: DiscreteSpace, cycle: CellChain, p: int,
                       step_budget: int):
     """``(steps, moves)`` after the cycle from an iterative-deepening search
     over single-cell moves; None when every depth up to the budget fails."""
+    ids, num, cof = space._ids, space._num, space._cof
+
     def goal_cell(chain):
         # a 2-cell bounded by the chain is a coface of each of its edges
         # with as many vertices as the chain
-        for cid in space.cofaces((1, edge_key(*chain.verts[:2]))):
+        for cid in map(ids.__getitem__,
+                       cof[num[(1, edge_key(*chain.verts[:2]))]]):
             if len(cid[1]) != len(chain.verts) or p not in cid[1]:
                 continue
             if {b[1] for b in space.cells[cid].boundary} == chain.edge_set():

@@ -33,16 +33,16 @@ def _ball(space: DiscreteSpace, p: int, i: int):
     at p that also bounds a cell holding it.  Every vertex left out is at
     distance 3 or more, or unreachable.
     """
+    ids, num, bnd, cof = space._ids, space._num, space._bnd, space._cof
     cells = space.cells_containing(p, i)
     near = {v for c in cells for v in c[1]}
     meds: dict = {}
     # a face through p has only cells at p as cofaces
-    for f in {f for c in cells for f in space.cells[c].boundary
-              if p not in f[1]}:
-        for n in space.cofaces(f):
-            for v in n[1]:
+    for f in {f for c in cells for f in bnd[num[c]] if p not in ids[f][1]}:
+        for n in cof[f]:
+            for v in ids[n][1]:
                 if v not in near:
-                    meds.setdefault(v, set()).update(f[1])
+                    meds.setdefault(v, set()).update(ids[f][1])
     near.discard(p)
     return dict.fromkeys(near, 1) | dict.fromkeys(meds, 2), meds
 

@@ -87,10 +87,8 @@ def components_of_complement(space: DiscreteSpace,
     components = [frozenset(c)
                   for c in face_components(space, top, barrier)]
 
-    boundary_ok = []
-    for comp in components:
-        ok = all(any(c in comp for c in space.cofaces(f)) for f in barrier)
-        boundary_ok.append(ok)
+    boundary_ok = [all(any(c in comp for c in space.cofaces(f))
+                       for f in barrier) for comp in components]
 
     parities = _crossing_parities(space, barrier)
     return SeparationReport(tuple(components), tuple(boundary_ok), flat,
@@ -366,8 +364,9 @@ def contract_to_cell(space: DiscreteSpace, component, s: CellChain,
     # each remaining non-seed cell touching the surface is queued once,
     # keyed (-distance, cell); a popped cell that no longer touches is dropped
     queued, heap, removals, added = set(), [], [], barrier
+    ids, num, cof = space._ids, space._num, space._cof
     while len(remaining) > 1:
-        for c in {c for f in added for c in space.cofaces(f)} - queued:
+        for c in {ids[c] for f in added for c in cof[num[f]]} - queued:
             if c in remaining and c != seed:
                 queued.add(c)
                 heapq.heappush(heap, (-dist.get(c, far), c))
@@ -427,12 +426,11 @@ def _lengthens(space: DiscreteSpace, dist: dict, cell) -> bool:
     d = dist.pop(cell, None)
     if d is None:
         return False
-    cells, cofaces = space.cells, space.cofaces
-    for f in cells[cell].boundary:
-        for n in cofaces(f):
-            if dist.get(n) == d + 1 and not any(
-                    dist.get(m) == d for g in cells[n].boundary
-                    for m in cofaces(g)):
+    ids, bnd, cof = space._ids, space._bnd, space._cof
+    for f in bnd[space._num[cell]]:
+        for n in cof[f]:
+            if dist.get(ids[n]) == d + 1 and not any(
+                    dist.get(ids[m]) == d for g in bnd[n] for m in cof[g]):
                 return True
     return False
 
@@ -467,6 +465,11 @@ def verify_contraction_trace(space: DiscreteSpace, component, s: CellChain,
                    % (len(component) - 1, len(trace.removals)))
     if trace.seed in {r.cell for r in trace.removals}:
         report.add("the seed was removed")
+    if trace.seed not in component:
+        report.add("the seed %r is not in the component" % (trace.seed,))
+    for i, r in enumerate(trace.removals):
+        if r.cell not in component:
+            report.add("step %d: %r is not in the component" % (i, r.cell))
     surface, count = set(trace.first_surface), {}
     unpaired = _recount(space, count, (), surface)
     before = len(report.problems)

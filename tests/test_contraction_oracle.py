@@ -123,6 +123,11 @@ def reference_verify(space, component, s, trace) -> CheckReport:
                    % (len(component) - 1, len(trace.removals)))
     if trace.seed in {r.cell for r in trace.removals}:
         report.add("the seed was removed")
+    if trace.seed not in component:
+        report.add("the seed %r is not in the component" % (trace.seed,))
+    for i, r in enumerate(trace.removals):
+        if r.cell not in component:
+            report.add("step %d: %r is not in the component" % (i, r.cell))
     try:
         surfaces = reference_surfaces(trace)
     except InputError as exc:

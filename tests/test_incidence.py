@@ -353,3 +353,93 @@ def test_derived_boundaries_survive_round_trip(name):
     for cid, cell in space.cells.items():
         assert loaded.cells[cid].boundary == cell.boundary
         assert loaded.cells[cid].loop == cell.loop
+
+
+# -- cell numbers ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+def test_numbers_follow_id_order(name):
+    space = INDEXED[name]
+    assert list(space._ids) == sorted(space.cells)
+    assert space._num == {cid: i for i, cid in enumerate(space._ids)}
+    for i, cid in enumerate(space._ids):
+        assert [space._ids[b] for b in space._bnd[i]] == \
+            list(space.cells[cid].boundary)
+        assert [space._ids[c] for c in space._cof[i]] == space.cofaces(cid)
+
+
+SHUFFLED = {
+    "S(3, 3)": gen.lattice_sphere(3, 3)[0],
+    "S(4, 2)": gen.lattice_sphere(4, 2)[0],
+    "torus45": gen.torus_grid(4, 5),
+}
+
+
+@st.composite
+def shuffled_rows(draw):
+    """A space and the arguments that build it again, with its edge and
+    cell rows, each cell's vertices and, when given, each boundary in a
+    drawn order."""
+    space = SHUFFLED[draw(st.sampled_from(sorted(SHUFFLED)))]
+    edges = draw(st.permutations(sorted(space.edges)))
+    cells, boundaries = {}, {}
+    for d in range(2, space.top_dim + 1):
+        rows = draw(st.permutations(space.cells_of_dim(d)))
+        cells[d] = [tuple(draw(st.permutations(cid[1]))) for cid in rows]
+        for cid in rows:
+            boundaries[cid] = tuple(draw(st.permutations(
+                space.cells[cid].boundary)))
+    if not draw(st.booleans()):
+        boundaries = None
+    return space, (space.n_vertices, edges, cells, boundaries,
+                   space.oriented)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(shuffled_rows())
+def test_index_does_not_depend_on_row_order(case):
+    space, args = case
+    built = DiscreteSpace(*args)
+    assert built._ids == space._ids
+    assert built._bnd == space._bnd
+    assert built._cof == space._cof
+    assert built.cells == space.cells
+    for cid in space.cells:
+        assert built.cofaces(cid) == space.cofaces(cid)
+    for v in range(space.n_vertices):
+        assert built.cells_containing(v) == space.cells_containing(v)
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_first_bad_cell_in_input_order_is_reported(order):
+    # both 2-cells are bad, and the first given is reported whether or not
+    # it comes first in id order
+    edges = [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6), (3, 5)]
+    errors = {(0, 1, 2): "(2, (0, 1, 2)): boundary edges do not form a "
+                         "simple closed cycle",
+              (3, 4, 5, 6): "(2, (3, 4, 5, 6)): chord (3, 5) makes the "
+                            "boundary cycle non-minimal"}
+    square = {(2, (3, 4, 5, 6)): ((1, (3, 4)), (1, (3, 6)), (1, (4, 5)),
+                                  (1, (5, 6)))}
+    rows = [(3, 4, 5, 6), (0, 1, 2)][::order]
+    with pytest.raises(InputError) as info:
+        DiscreteSpace(7, edges, {2: rows}, square)
+    assert str(info.value) == errors[rows[0]]
+
+
+@pytest.mark.parametrize("query", [
+    lambda s: s.cells_containing(999),
+    lambda s: s.cells_containing(-1, 2),
+    lambda s: s.vertex_neighbors(999),
+    lambda s: s.cofaces((2, (0, 1, 999))),
+    lambda s: s.cell_neighbors((2, (0, 1, 999))),
+], ids=["cells_containing", "cells_containing-dim", "vertex_neighbors",
+        "cofaces", "cell_neighbors"])
+def test_unknown_ids_raise_input_error(query):
+    space = SPACES["octahedron"]
+    with pytest.raises(InputError, match="unknown"):
+        query(space)
+    # a top cell has no cofaces
+    assert space.cofaces(space.cells_of_dim(2)[0]) == []

@@ -362,6 +362,24 @@ def test_verify_reports_a_removal_that_does_not_apply(simplex4):
         replay(bad)
 
 
+def test_verify_reports_cells_outside_the_component():
+    # the equator splits S(3, 4) into two sides of 48 squares; a trace
+    # that contracts one side matches the other in size only
+    space, equator = gen.lattice_sphere(3, 4)
+    a, b = components_of_complement(space, equator).components
+    assert len(a) == len(b) == 48
+    seed = min(c for c in b if frozenset(space.cells[c].boundary)
+               & frozenset(equator.cells))
+    trace = contract_to_cell(space, b, equator, seed)
+    assert verify_contraction_trace(space, b, equator, trace)
+    check = verify_contraction_trace(space, a, equator, trace)
+    assert check.problems[0] == \
+        "the seed %r is not in the component" % (seed,)
+    assert check.problems[1:] == [
+        "step %d: %r is not in the component" % (i, r.cell)
+        for i, r in enumerate(trace.removals)]
+
+
 def test_invert_empty(simplex4):
     sphere = gen.equator(simplex4, "simplex-boundary")
     report = components_of_complement(simplex4, sphere)
