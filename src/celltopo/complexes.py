@@ -22,9 +22,11 @@ its inputs and yields one id-keyed level at a time, each cell with the
 cell and face that first reached it.  The two stay apart because the
 flood keeps only the set of cells not yet reached, while a level walk
 builds a dict per level (``check_regular`` on ``_levels`` was 20 to 65 %
-slower on lattice spheres, best of 7 on a 2-vCPU Xeon VM).  Ids stay
-public.  A built space is immutable; every query reads the index and is a
-pure function, safe to run concurrently.
+slower on lattice spheres, best of 7 on a 2-vCPU Xeon VM).  Other modules
+read incidence by id only: ``cofaces``, ``cells_containing`` and
+``_touching``, the cells having a cell of a set as a face.  A built space
+is immutable; every query reads the index and is a pure function, safe to
+run concurrently.
 """
 
 from __future__ import annotations
@@ -372,6 +374,7 @@ class DiscreteSpace:
     def vertex_neighbors(self, v: int) -> tuple:
         """The vertices joined to ``v`` by an edge, sorted: the far ends of
         its edges (its cofaces, sorted), read on each call."""
+        self.require_vertex(v)
         return tuple(w for e in self.cofaces((0, (v,))) for w in e[1]
                      if w != v)
 
@@ -395,15 +398,40 @@ class DiscreteSpace:
     def cell_neighbors(self, cid: CellId) -> tuple:
         """Cells of the same dimension sharing a boundary face with ``cid``,
         sorted: the cofaces of its faces, read on each call."""
-        ids, cof = self._ids, self._cof
-        i = self._num.get(cid)
-        if i is None:
+        if cid not in self.cells:
             raise InputError("unknown cell %r" % (cid,))
-        return tuple(ids[n] for n in sorted(
-            {n for f in self._bnd[i] for n in cof[f]} - {i}))
+        return tuple(sorted(_touching(self, self.cells[cid].boundary)
+                            - {cid}))
 
 
 # -- incidence -------------------------------------------------------------
+
+
+def _touching(space: DiscreteSpace, cells) -> set:
+    """The cells having a cell of ``cells`` as a face, unsorted: the one
+    union of cofaces that callers outside this module read."""
+    ids, num, cof = space._ids, space._num, space._cof
+    return {ids[c] for f in cells for c in cof[num[f]]}
+
+
+def _ball(space: DiscreteSpace, p: int, i: int):
+    """The vertices at i-cell distance 1 or 2 from ``p``, with that distance,
+    and the mediators of each one at 2: the vertices of every face of a cell
+    at p that also bounds a cell holding it.  Every vertex left out is at
+    distance 3 or more, or unreachable.
+    """
+    ids, num, bnd, cof = space._ids, space._num, space._bnd, space._cof
+    cells = space.cells_containing(p, i)
+    near = {v for c in cells for v in c[1]}
+    meds: dict = {}
+    # a face through p has only cells at p as cofaces
+    for f in {f for c in cells for f in bnd[num[c]] if p not in ids[f][1]}:
+        for n in cof[f]:
+            for v in ids[n][1]:
+                if v not in near:
+                    meds.setdefault(v, set()).update(ids[f][1])
+    near.discard(p)
+    return dict.fromkeys(near, 1) | dict.fromkeys(meds, 2), meds
 
 
 def face_counts(space: DiscreteSpace, cells) -> dict:

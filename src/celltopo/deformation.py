@@ -2,16 +2,16 @@
 
 Two curves are gradually varied when each can be matched to the other by
 moving every point at most one cell: every non-end vertex of one lies on
-the other or shares a 2-cell (spanned by the two curves' vertices) with
-it, and every non-end edge not shared lies in such a 2-cell that carries
-an edge of the other curve.  A gradually varied move decomposes into
-single-cell moves, each the XorSum with one 2-cell boundary.  A move
+the other or shares a 2-cell (spanned by the two curves' vertices) with it,
+and every non-end edge not shared lies in such a 2-cell (a coface) that
+carries an edge of the other curve.  A gradually varied move decomposes
+into single-cell moves, each the XorSum with one 2-cell boundary.  A move
 needs an edge of the cell on the curve, so the move searches try only the
 cofaces of the current curve's edges and skip every other cell of their
 pool.  When the cell's loop meets the curve in one arc, the XorSum is a
-splice: the curve's arc is replaced by the loop's other arc, read off
-the loop and the curve's vertex order without rebuilding the curve from
-its edges.  Side variation additionally forbids cross-overs: a stretch
+splice: the curve's arc is replaced by the loop's other arc, read off the
+loop and the curve's vertex order without rebuilding the curve from its
+edges.  Side variation additionally forbids cross-overs: a stretch
 of edges both curves share that one curve enters and leaves on opposite
 sides of the other, read in the oriented links of the stretch's ends (a
 boundary vertex's link path is closed by a sentinel for the outside).
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import (CellChain, CheckReport, DiscreteSpace, _levels,
-                        edge_key, face_counts, walk)
+                        _touching, edge_key, face_counts, walk)
 from .errors import InputError, PreconditionError, UnsupportedConfiguration
 
 MOVE_GRADUAL = "gradual"
@@ -107,9 +107,9 @@ def are_gradually_varied(space: DiscreteSpace, c: CellChain,
                    and _within_one_cell(space, c.verts[-1], cp.verts[0]))
         if not (straight or flipped):
             return False
-    bridge_cells = _spanned_cells(space, c.vertex_set() | cp.vertex_set())
-    return (_half_varied(space, c, cp, bridge_cells)
-            and _half_varied(space, cp, c, bridge_cells))
+    verts = c.vertex_set() | cp.vertex_set()
+    return (_half_varied(space, c, cp, verts)
+            and _half_varied(space, cp, c, verts))
 
 
 def _spanned_cells(space: DiscreteSpace, verts: frozenset) -> list:
@@ -119,15 +119,17 @@ def _spanned_cells(space: DiscreteSpace, verts: frozenset) -> list:
 
 
 def _half_varied(space: DiscreteSpace, c: CellChain, cp: CellChain,
-                 bridge_cells) -> bool:
+                 verts: frozenset) -> bool:
+    """Every non-end vertex and edge of c is matched on cp, through the
+    2-cells at it spanned by ``verts``, the two curves' vertices."""
     other_verts = cp.vertex_set()
     if len(c.verts) == 1:
         return True
     for v in _nonend_verts(c):
         if v in other_verts:
             continue
-        if not any(v in cid[1] and other_verts & set(cid[1])
-                   for cid in bridge_cells):
+        if not any(other_verts & set(cid[1]) and verts.issuperset(cid[1])
+                   for cid in space.cells_containing(v, 2)):
             return False
     if len(cp.verts) == 1:
         return True
@@ -137,13 +139,9 @@ def _half_varied(space: DiscreteSpace, c: CellChain, cp: CellChain,
     for e in _nonend_edges(c):
         if e in theirs:
             continue
-        ok = False
-        for cid in bridge_cells:
-            faces = {b[1] for b in space.cells[cid].boundary}
-            if e in faces and gains & faces:
-                ok = True
-                break
-        if not ok:
+        if not any(verts.issuperset(cid[1]) and
+                   gains & {b[1] for b in space.cells[cid].boundary}
+                   for cid in space.cofaces((1, e))):
             return False
     return True
 
@@ -240,8 +238,7 @@ def _cell_moves(space: DiscreteSpace, chain: CellChain, pool=None):
     the curve's edges are tried; ``single_cell_move`` rejects every other
     cell.
     """
-    ids, num, cof = space._ids, space._num, space._cof
-    touching = {ids[c] for f in chain.cells for c in cof[num[f]]}
+    touching = _touching(space, chain.cells)
     for cell in sorted(touching) if pool is None else pool:
         if cell in touching:
             nxt = single_cell_move(space, chain, cell)
@@ -699,13 +696,10 @@ def _deepening_search(space: DiscreteSpace, cycle: CellChain, p: int,
                       step_budget: int):
     """``(steps, moves)`` after the cycle from an iterative-deepening search
     over single-cell moves; None when every depth up to the budget fails."""
-    ids, num, cof = space._ids, space._num, space._cof
-
     def goal_cell(chain):
         # a 2-cell bounded by the chain is a coface of each of its edges
         # with as many vertices as the chain
-        for cid in map(ids.__getitem__,
-                       cof[num[(1, edge_key(*chain.verts[:2]))]]):
+        for cid in space.cofaces((1, edge_key(*chain.verts[:2]))):
             if len(cid[1]) != len(chain.verts) or p not in cid[1]:
                 continue
             if {b[1] for b in space.cells[cid].boundary} == chain.edge_set():

@@ -12,8 +12,10 @@ The verdict only asks whether a distance is 1, 2 or more, so no distance
 is computed in full: each chain vertex gets one radius-2 ball per level
 (its vertices at distance 1 or 2, with the mediators of those at 2), made
 by one walk from the cells at the vertex to their faces' cofaces at every
-level.  Only the chain vertices inside a ball are checked as partners, and
-each mediator's link is read once per check, straight from the index.
+level (``complexes._ball``).  Only the chain vertices inside a ball are
+checked as partners, and each mediator's link is read once per check,
+straight from the index.  The top cells holding a collar's chain edge are
+the edges' cofaces, taken up to the top dimension.
 """
 
 from __future__ import annotations
@@ -21,30 +23,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import (CellChain, CheckReport, DiscreteSpace, _spans,
-                        closure, edge_key, face_components, face_counts,
-                        partial_graph, walk)
+from .complexes import (CellChain, CheckReport, DiscreteSpace, _ball,
+                        _spans, _touching, closure, edge_key,
+                        face_components, face_counts, partial_graph, walk)
 from .errors import InputError, PreconditionError
-
-
-def _ball(space: DiscreteSpace, p: int, i: int):
-    """The vertices at i-cell distance 1 or 2 from ``p``, with that distance,
-    and the mediators of each one at 2: the vertices of every face of a cell
-    at p that also bounds a cell holding it.  Every vertex left out is at
-    distance 3 or more, or unreachable.
-    """
-    ids, num, bnd, cof = space._ids, space._num, space._bnd, space._cof
-    cells = space.cells_containing(p, i)
-    near = {v for c in cells for v in c[1]}
-    meds: dict = {}
-    # a face through p has only cells at p as cofaces
-    for f in {f for c in cells for f in bnd[num[c]] if p not in ids[f][1]}:
-        for n in cof[f]:
-            for v in ids[n][1]:
-                if v not in near:
-                    meds.setdefault(v, set()).update(ids[f][1])
-    near.discard(p)
-    return dict.fromkeys(near, 1) | dict.fromkeys(meds, 2), meds
+from .metrics import is_triangulated
 
 
 def _chain_in_link(space: DiscreteSpace, m: int, chain_verts: frozenset,
@@ -120,7 +103,6 @@ def _flatness_report(space: DiscreteSpace, chain: CellChain,
 def is_locally_flat_triangulated(space: DiscreteSpace,
                                  chain: CellChain) -> CheckReport:
     """Flatness for triangulated spaces: only graph distance matters."""
-    from .metrics import is_triangulated
     if not is_triangulated(space):
         raise PreconditionError("space is not triangulated")
     _require_simple(space, chain)
@@ -198,11 +180,11 @@ def _side_cells(space: DiscreteSpace, chain: CellChain) -> list:
     if chain.dim != 1:
         return near
     interior = set(chain.verts if chain.closed else chain.verts[1:-1])
-    edges = chain.edge_set()
-    return [cid for cid in near
-            if interior & set(cid[1])
-            or any(set(e) <= set(cid[1]) and
-                   (1, e) in closure(space, (cid,), 1) for e in edges)]
+    # the top cells holding a chain edge: its cofaces' cofaces, and so on
+    holding = set(chain.cells)
+    for _ in range(space.top_dim - 1):
+        holding = _touching(space, holding)
+    return [cid for cid in near if interior & set(cid[1]) or cid in holding]
 
 
 def build_collar(space: DiscreteSpace, chain: CellChain) -> CollarCertificate:

@@ -34,6 +34,7 @@ import numpy as np
 
 from .complexes import (CellChain, DiscreteSpace, _levels, edge_key,
                         is_closed)
+from .deformation import edges_to_curve
 from .errors import InputError, TopologyError
 from .separation import ContractionTrace, Removal, _submanifold_cells, replay
 
@@ -285,7 +286,6 @@ def _load_complex_body(reader: _Reader):
 
 
 def _edges_to_chain(space: DiscreteSpace, edges, name: str) -> CellChain:
-    from .deformation import edges_to_curve
     chain = edges_to_curve(space, edges)
     if chain is None:
         raise InputError("chain %r is not a simple path or cycle" % name)

@@ -18,8 +18,8 @@ import heapq
 from dataclasses import dataclass, field
 
 from .complexes import (CellChain, CheckReport, DiscreteSpace,
-                        _face_connected, _levels, check_regular, closure,
-                        edge_key, face_components, is_closed)
+                        _face_connected, _levels, _touching, check_regular,
+                        closure, edge_key, face_components, is_closed)
 from .deformation import (MOVE_SIDE_GRADUAL, DeformationTrace, _cell_moves,
                           are_side_gradually_varied, bfs_moves,
                           realizing_cells)
@@ -364,9 +364,8 @@ def contract_to_cell(space: DiscreteSpace, component, s: CellChain,
     # each remaining non-seed cell touching the surface is queued once,
     # keyed (-distance, cell); a popped cell that no longer touches is dropped
     queued, heap, removals, added = set(), [], [], barrier
-    ids, num, cof = space._ids, space._num, space._cof
     while len(remaining) > 1:
-        for c in {ids[c] for f in added for c in cof[num[f]]} - queued:
+        for c in _touching(space, added) - queued:
             if c in remaining and c != seed:
                 queued.add(c)
                 heapq.heappush(heap, (-dist.get(c, far), c))
@@ -426,13 +425,9 @@ def _lengthens(space: DiscreteSpace, dist: dict, cell) -> bool:
     d = dist.pop(cell, None)
     if d is None:
         return False
-    ids, bnd, cof = space._ids, space._bnd, space._cof
-    for f in bnd[space._num[cell]]:
-        for n in cof[f]:
-            if dist.get(ids[n]) == d + 1 and not any(
-                    dist.get(ids[m]) == d for g in bnd[n] for m in cof[g]):
-                return True
-    return False
+    return any(dist.get(n) == d + 1 and not any(
+        dist.get(m) == d for m in _touching(space, space.cells[n].boundary))
+        for n in _touching(space, space.cells[cell].boundary))
 
 
 def invert_trace(trace: ContractionTrace) -> ContractionTrace:

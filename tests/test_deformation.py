@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from celltopo import deformation
 from celltopo import generators as gen
 from celltopo.complexes import CellChain, DiscreteSpace, edge_key
 from celltopo.deformation import (DeformationTrace, are_gradually_varied,
-                                  are_side_gradually_varied,
+                                  are_side_gradually_varied, bfs_moves,
                                   cell_boundary_chain, crosses_over,
                                   decompose_minimal_moves, detour_sequence,
                                   intersection_is_attaching_arc,
@@ -185,6 +186,34 @@ def test_decompose_three_disjoint_bumps():
     assert len(trace.moves) == 3
     cells = [next(iter(m)) for m in trace.moves]
     assert cells == sorted(cells)
+
+
+@pytest.mark.parametrize("space,c,cp,closed,steps,cells", [
+    (gen.octahedron(), (0, 2, 1, 4), (0, 2, 1, 5, 4, 3), True,
+     [(0, 2, 1, 4), (0, 2, 1, 4, 3), (0, 2, 1, 5, 4, 3)],
+     [(2, (0, 3, 4)), (2, (1, 4, 5))]),
+    (gen.seven_vertex_torus(), (1, 5, 0, 3), (1, 6, 5, 4, 0, 2, 3), False,
+     [(1, 5, 0, 3), (1, 5, 0, 2, 3), (1, 5, 4, 0, 2, 3),
+      (1, 6, 5, 4, 0, 2, 3)],
+     [(2, (0, 2, 3)), (2, (0, 4, 5)), (2, (1, 5, 6))]),
+], ids=["octahedron", "seven-vertex-torus"])
+def test_decompose_falls_back_when_the_greedy_order_wedges(
+        monkeypatch, space, c, cp, closed, steps, cells):
+    """No greedy step shrinks the gap here, so the breadth-first fallback
+    finds the trace."""
+    searches = []
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return bfs_moves(*args, **kwargs)
+
+    monkeypatch.setattr(deformation, "bfs_moves", counted)
+    trace = decompose_minimal_moves(space, CellChain.path(space, c, closed),
+                                    CellChain.path(space, cp, closed))
+    assert len(searches) == 1
+    assert trace.kind == "minimal"
+    assert [s.verts for s in trace.steps] == steps
+    assert trace.moves == tuple(frozenset((cell,)) for cell in cells)
 
 
 def test_decompose_needs_matching_endpoints():

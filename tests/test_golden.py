@@ -28,12 +28,16 @@ def _cases():
     s5 = gen.simplex_boundary(5)
     torus = gen.torus_grid(4, 4)
     cube = gen.cube_boundary(3)
+    sphere43 = gen.lattice_sphere(4, 3)
+    sphere52 = gen.lattice_sphere(5, 2)
     return {
         "octahedron": (octa, "equator", gen.equator(octa, "octahedron")),
         "simplex4": (s4, "sphere", gen.equator(s4, "simplex-boundary")),
         "simplex5": (s5, "sphere", gen.equator(s5, "simplex-boundary")),
         "torus44": (torus, "meridian", gen.torus_meridian(torus, 4)),
         "cube3": (cube, "band", gen.equator(cube, "cube-boundary")),
+        "sphere43": (sphere43[0], "equator", sphere43[1]),
+        "sphere52": (sphere52[0], "equator", sphere52[1]),
     }
 
 
@@ -145,6 +149,34 @@ GOLDEN = {
             '1f65d1a188eb63e8879d3b0ae690ab71281b6a40006c839c3d569e69d0574a2a',
         'export-trace':
             'e7f52bed5817400a089baf03ed9251281f90452c249cfb70c630de43cc7f1042',
+    },
+    'sphere43': {
+        'check':
+            'f440b17f2344f5e1240c2be837513aa487d2b7de1bf9092dc9ee7547020566cc',
+        'flat':
+            'd60c49e9e2ceccb341ad3c3e8f50e615ec37155bf260a2bc8da7975618d57299',
+        'separate':
+            '169fa24f2f1a7209fe2a12800e53037945f0f7d76d9385258f6c3ad2de674a5c',
+        'contract':
+            'ba521b443b9eb834529f760b4453370be220d0c73bdd1dc376db0e848a562692',
+        'export':
+            '1a6517ac228bed2163ed99c83d3ba0a5b0d89478c812f2a9901615a8b12ba45f',
+        'export-trace':
+            '1490dae986a22bf43b26b5d49fbce35c7d21af2cb4eca42d7eab0236c74419a4',
+    },
+    'sphere52': {
+        'check':
+            '4685899ff3caa52e5857fb2cbe02fb8cb1f41d60aced03d8db9e344c6ed53af5',
+        'flat':
+            '2f33159d14783ce09f2913187a57e6856506462d6294fb91d1e306411f98fee3',
+        'separate':
+            '6bcfa8dabbc2dff76e1362845f5a4cad2dbb618fc3794dec86b0714eb8bc5220',
+        'contract':
+            '60fd56d95c35c86fe7ea9fca2aeccc6d8d7d95c8b9effcff336e588f76bc862f',
+        'export':
+            '556d7970dd9ac3f1926a161f210ea5373b550b15f351a197df212889076e48c2',
+        'export-trace':
+            'acc5ab0d7f17793ff99e959adfd8b5fd903a9f3c1149342e2c09dce2dd93bfa8',
     },
     'torus44': {
         'check':

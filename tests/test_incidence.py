@@ -2,13 +2,17 @@
 references: networkx components and distances, the recursive closure,
 explicit face counts and the edge list of a walk."""
 
+import ast
 import itertools
+import pathlib
+import re
 
 import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import celltopo
 from celltopo import generators as gen
 from celltopo import io as dio
 from celltopo.complexes import (DiscreteSpace, _face_connected, _levels,
@@ -429,17 +433,37 @@ def test_first_bad_cell_in_input_order_is_reported(order):
     assert str(info.value) == errors[rows[0]]
 
 
-@pytest.mark.parametrize("query", [
-    lambda s: s.cells_containing(999),
-    lambda s: s.cells_containing(-1, 2),
-    lambda s: s.vertex_neighbors(999),
-    lambda s: s.cofaces((2, (0, 1, 999))),
-    lambda s: s.cell_neighbors((2, (0, 1, 999))),
+@pytest.mark.parametrize("query,message", [
+    (lambda s: s.cells_containing(999), "unknown vertex id 999"),
+    (lambda s: s.cells_containing(-1, 2), "unknown vertex id -1"),
+    (lambda s: s.vertex_neighbors(999), "unknown vertex id 999"),
+    (lambda s: s.cofaces((2, (0, 1, 999))), "unknown cell (2, (0, 1, 999))"),
+    (lambda s: s.cell_neighbors((2, (0, 1, 999))),
+     "unknown cell (2, (0, 1, 999))"),
 ], ids=["cells_containing", "cells_containing-dim", "vertex_neighbors",
         "cofaces", "cell_neighbors"])
-def test_unknown_ids_raise_input_error(query):
+def test_unknown_ids_raise_input_error(query, message):
     space = SPACES["octahedron"]
-    with pytest.raises(InputError, match="unknown"):
+    with pytest.raises(InputError, match=re.escape(message)):
         query(space)
     # a top cell has no cofaces
     assert space.cofaces(space.cells_of_dim(2)[0]) == []
+
+
+NUMBERING = {"_ids", "_num", "_bnd", "_cof", "_numbers"}
+PACKAGE = pathlib.Path(celltopo.__file__).parent
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.name for p in PACKAGE.glob("*.py") if p.name != "complexes.py"))
+def test_only_complexes_reads_the_cell_numbers(path):
+    """The numbering is private to ``complexes``: every other module reads
+    incidence through ids (``cofaces``, ``cells_containing``, the shared
+    walks and ``_touching``)."""
+    tree = ast.parse((PACKAGE / path).read_text(encoding="utf-8"))
+    named = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)} | \
+        {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | \
+        {alias.name for node in ast.walk(tree)
+         if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not named & NUMBERING
