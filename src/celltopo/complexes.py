@@ -23,10 +23,14 @@ cell and face that first reached it.  The two stay apart because the
 flood keeps only the set of cells not yet reached, while a level walk
 builds a dict per level (``check_regular`` on ``_levels`` was 20 to 65 %
 slower on lattice spheres, best of 7 on a 2-vCPU Xeon VM).  Other modules
-read incidence by id only: ``cofaces``, ``cells_containing`` and
-``_touching``, the cells having a cell of a set as a face.  A built space
-is immutable; every query reads the index and is a pure function, safe to
-run concurrently.
+read incidence by id only: ``cofaces``, ``cells_containing``,
+``_touching`` (the cells having a cell of a set as a face) and
+``_adjacent`` (the cells sharing a face with one cell).  The flatness
+check's readers run on numbers here: ``_star`` (the cells at a vertex, per
+dimension), ``_ball`` (the vertices of a set at distance 1 or 2 from a
+vertex) and ``_chain_in_link`` (the chain in a mediator's link).  A built
+space is immutable; every query reads the index and is a pure function,
+safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -400,8 +404,7 @@ class DiscreteSpace:
         sorted: the cofaces of its faces, read on each call."""
         if cid not in self.cells:
             raise InputError("unknown cell %r" % (cid,))
-        return tuple(sorted(_touching(self, self.cells[cid].boundary)
-                            - {cid}))
+        return tuple(sorted(set(_adjacent(self, cid)) - {cid}))
 
 
 # -- incidence -------------------------------------------------------------
@@ -414,24 +417,77 @@ def _touching(space: DiscreteSpace, cells) -> set:
     return {ids[c] for f in cells for c in cof[num[f]]}
 
 
-def _ball(space: DiscreteSpace, p: int, i: int):
-    """The vertices at i-cell distance 1 or 2 from ``p``, with that distance,
-    and the mediators of each one at 2: the vertices of every face of a cell
-    at p that also bounds a cell holding it.  Every vertex left out is at
-    distance 3 or more, or unreachable.
+def _adjacent(space: DiscreteSpace, cid):
+    """The same-dimension cells sharing a face with ``cid``, as ids, lazily
+    and with repeats, ``cid`` itself once per face: one walk from its
+    faces' numbers to their cofaces, no face id hashed, so a caller may
+    stop at a match."""
+    ids, cof = space._ids, space._cof
+    return (ids[n] for f in space._bnd[space._num[cid]] for n in cof[f])
+
+
+def _star(space: DiscreteSpace, p: int) -> list:
+    """The numbers of the cells at vertex ``p``, one set per dimension up
+    to the top.  Each set is the cofaces of the one below: a cell's faces
+    cover its vertices, so every cell at p above a vertex has a face at p.
     """
-    ids, num, bnd, cof = space._ids, space._num, space._bnd, space._cof
-    cells = space.cells_containing(p, i)
-    near = {v for c in cells for v in c[1]}
+    cof = space._cof
+    star = [{p}]
+    for _ in range(space.top_dim):
+        star.append({n for c in star[-1] for n in cof[c]})
+    return star
+
+
+def _ball(space: DiscreteSpace, star: list, p: int, i: int, keep):
+    """The vertices of ``keep`` above ``p`` at i-cell distance 1 or 2 from
+    p, with that distance, and the mediators of each one at 2: the vertices
+    of every face of a cell at p that also bounds a cell holding it.
+    ``star`` is ``_star(space, p)``.  Every vertex of ``keep`` above p left
+    out is at distance 3 or more, or unreachable.
+    """
+    ids, bnd, cof = space._ids, space._bnd, space._cof
+    cells, through = star[i], star[i - 1]
+    near = {v for c in cells for v in ids[c][1]}
+    ball = {v: 1 for v in near if v > p and v in keep}
     meds: dict = {}
-    # a face through p has only cells at p as cofaces
-    for f in {f for c in cells for f in bnd[num[c]] if p not in ids[f][1]}:
+    # a face through p has only cells at p as cofaces, and those hold only
+    # vertices of near
+    for f in {f for c in cells for f in bnd[c] if f not in through}:
         for n in cof[f]:
-            for v in ids[n][1]:
-                if v not in near:
-                    meds.setdefault(v, set()).update(ids[f][1])
-    near.discard(p)
-    return dict.fromkeys(near, 1) | dict.fromkeys(meds, 2), meds
+            if n not in cells:
+                for v in ids[n][1]:
+                    if v > p and v in keep and v not in near:
+                        meds.setdefault(v, set()).update(ids[f][1])
+    return ball | dict.fromkeys(meds, 2), meds
+
+
+def _chain_in_link(space: DiscreteSpace, m: int, verts, edges, up: dict):
+    """The chain vertices and sorted chain edges of link(m), for a vertex m
+    off the chain with vertex set ``verts`` and edge set ``edges``.
+
+    The vertices are those of the cells at m.  A chain edge between two of
+    them lies in the closure of a cell at m exactly when some cell above
+    it, reached through cofaces, holds m.  ``up`` keeps each edge's
+    vertices above it; a caller passes one dict for a whole check.
+    """
+    ids, cof = space._ids, space._cof
+    ivs = frozenset(v for c in space.cells_containing(m) for v in c[1]
+                    if v in verts)
+    ies = []
+    for v in ivs:
+        for e in cof[v]:
+            u, w = ids[e][1]
+            if u == v and w in ivs and (u, w) in edges:
+                above = up.get(e)
+                if above is None:
+                    above = up[e] = set(ids[e][1])
+                    layer = cof[e]
+                    while layer:
+                        above.update(x for c in layer for x in ids[c][1])
+                        layer = {n for c in layer for n in cof[c]}
+                if m in above:
+                    ies.append((u, w))
+    return ivs, sorted(ies)
 
 
 def face_counts(space: DiscreteSpace, cells) -> dict:

@@ -9,13 +9,17 @@ through both vertices.  A collar is the pair of distance-1 sheets flanking
 a flat chain; flatness and collar existence decide each other.
 
 The verdict only asks whether a distance is 1, 2 or more, so no distance
-is computed in full: each chain vertex gets one radius-2 ball per level
-(its vertices at distance 1 or 2, with the mediators of those at 2), made
-by one walk from the cells at the vertex to their faces' cofaces at every
-level (``complexes._ball``).  Only the chain vertices inside a ball are
-checked as partners, and each mediator's link is read once per check,
-straight from the index.  The top cells holding a collar's chain edge are
-the edges' cofaces, taken up to the top dimension.
+is computed in full.  Each chain vertex p gets one walk up its cell star,
+the cells at p one dimension at a time (``complexes._star``), and from it
+one radius-2 ball per level (``complexes._ball``): the chain vertices
+q > p at distance 1 or 2, with the mediators of those at 2, found by one
+step from the cells at p to their faces' cofaces.  Every other pair is at
+distance 3 or more on every level.  Each mediator's link is read once per
+check, on numbers (``complexes._chain_in_link``): its chain vertices are
+those of the cells at the mediator, and a chain edge between two of them
+is in the link when a cell above the edge holds the mediator; each chain
+edge's vertices above it are kept for the check.  The top cells holding a
+collar's chain edge are the edges' cofaces, taken up to the top dimension.
 """
 
 from __future__ import annotations
@@ -24,20 +28,11 @@ import itertools
 from dataclasses import dataclass
 
 from .complexes import (CellChain, CheckReport, DiscreteSpace, _ball,
-                        _spans, _touching, closure, edge_key,
-                        face_components, face_counts, partial_graph, walk)
+                        _chain_in_link, _spans, _star, _touching, closure,
+                        edge_key, face_components, face_counts, partial_graph,
+                        walk)
 from .errors import InputError, PreconditionError
 from .metrics import is_triangulated
-
-
-def _chain_in_link(space: DiscreteSpace, m: int, chain_verts: frozenset,
-                   chain_edges: frozenset):
-    """The chain vertices and sorted chain edges of link(m), m off the
-    chain: the vertices of the cells at m and the edges of their closure."""
-    at = space.cells_containing(m)
-    ivs = frozenset(v for c in at for v in c[1] if v in chain_verts)
-    ies = sorted(e for _, e in closure(space, at, 1) if e in chain_edges)
-    return ivs, ies
 
 
 def subset_flatness(space: DiscreteSpace, verts, edges,
@@ -60,11 +55,12 @@ def subset_flatness(space: DiscreteSpace, verts, edges,
         if not 1 <= i <= space.top_dim:
             raise InputError("level %d outside 1..%d" % (i, space.top_dim))
     focal: dict = {}
+    up: dict = {}
     report = CheckReport(True)
     for p in sorted(verts):
-        balls = {i: _ball(space, p, i) for i in levels}
-        partners = sorted({q for ball, _ in balls.values() for q in ball
-                           if q > p and q in verts})
+        star = _star(space, p)
+        balls = {i: _ball(space, star, p, i, verts) for i in levels}
+        partners = sorted({q for ball, _ in balls.values() for q in ball})
         for q in partners:
             if edge_key(p, q) in edges:
                 continue
@@ -83,7 +79,7 @@ def subset_flatness(space: DiscreteSpace, verts, edges,
                     # the link's chain vertices when it meets the chain in
                     # one connected piece with an edge: an arc, or the
                     # whole curve when closed and fully seen
-                    ivs, ies = _chain_in_link(space, m, verts, edges)
+                    ivs, ies = _chain_in_link(space, m, verts, edges, up)
                     focal[m] = ivs if ies and _spans(space, ivs, ies) \
                         else None
                 seen = focal[m]
@@ -142,11 +138,11 @@ def find_focal_points(space: DiscreteSpace, chain: CellChain) -> list:
     _require_simple(space, chain)
     verts = chain.vertex_set()
     edges = frozenset(e for _, e in closure(space, chain.cells, 1))
-    out = []
+    out, up = [], {}
     for a in range(space.n_vertices):
         if a in verts:
             continue
-        ivs, ies = _chain_in_link(space, a, verts, edges)
+        ivs, ies = _chain_in_link(space, a, verts, edges, up)
         if len(ies) < 2:
             continue
         arc = walk(ies)

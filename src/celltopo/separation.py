@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .complexes import (CellChain, CheckReport, DiscreteSpace,
+from .complexes import (CellChain, CheckReport, DiscreteSpace, _adjacent,
                         _face_connected, _levels, _touching, check_regular,
                         closure, edge_key, face_components, is_closed)
 from .deformation import (MOVE_SIDE_GRADUAL, DeformationTrace, _cell_moves,
@@ -425,9 +425,14 @@ def _lengthens(space: DiscreteSpace, dist: dict, cell) -> bool:
     d = dist.pop(cell, None)
     if d is None:
         return False
-    return any(dist.get(n) == d + 1 and not any(
-        dist.get(m) == d for m in _touching(space, space.cells[n].boundary))
-        for n in _touching(space, space.cells[cell].boundary))
+    for n in _adjacent(space, cell):
+        if dist.get(n) == d + 1:
+            for m in _adjacent(space, n):
+                if dist.get(m) == d:
+                    break
+            else:
+                return True
+    return False
 
 
 def invert_trace(trace: ContractionTrace) -> ContractionTrace:

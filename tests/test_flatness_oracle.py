@@ -18,10 +18,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from celltopo import complexes, flatness, metrics
+from celltopo import complexes, metrics
 from celltopo import generators as gen
-from celltopo.complexes import CellChain, closure, edge_key, link, partial_graph
-from celltopo.flatness import (_ball, find_focal_points, is_locally_flat,
+from celltopo.complexes import (CellChain, _ball, _star, closure, edge_key,
+                                link, partial_graph)
+from celltopo.flatness import (find_focal_points, is_locally_flat,
                                subset_flatness)
 from celltopo.metrics import k_cell_distance
 
@@ -36,6 +37,7 @@ SPACES = {
     "strip": gen.strip_grid(3, 3),
     "strip-tri": gen.strip_grid(3, 3, triangulated=True),
     "lattice3": gen.lattice_sphere(3, 3)[0],
+    "lattice42": gen.lattice_sphere(4, 2)[0],
 }
 
 PROPS = settings(max_examples=80, deadline=None,
@@ -157,23 +159,70 @@ def test_equator_flatness_matches_reference(name, family):
     assert report.problems == want
 
 
+def _lattice_cube(corner, fixed):
+    """The unit cube of ``lattice_sphere(4, 3)`` at ``corner``, spanning
+    every axis but ``fixed``, where the corner lies on the boundary."""
+    points = [p for p in itertools.product(range(4), repeat=4)
+              if 0 in p or 3 in p]
+    corners = {tuple(x + b for x, b in zip(corner, bits))
+               for bits in itertools.product((0, 1), repeat=4)
+               if bits[fixed] == 0}
+    return (3, tuple(sorted(points.index(c) for c in corners)))
+
+
+@pytest.mark.parametrize("corners,flat", [
+    # the boundary of one cube: flat
+    (((0, 0, 0, 0),), True),
+    # two cubes facing each other across a third: edges of that cube join
+    # chain vertices that the chain does not join
+    (((0, 0, 0, 0), (2, 0, 0, 0)), False),
+], ids=["one-cube", "two-cubes-one-apart"])
+def test_cube_boundaries_match_reference(corners, flat):
+    space = gen.lattice_sphere(4, 3)[0]
+    cubes = [_lattice_cube(c, 1) for c in corners]
+    assert cubes[0] == (3, (0, 1, 4, 5, 64, 65, 68, 69))
+    squares = [f for cube in cubes for f in space.cells[cube].boundary]
+    chain = CellChain.of_cells(space, 2, squares, closed=True)
+    edges = frozenset(e for _, e in closure(space, chain.cells, 1))
+    report = is_locally_flat(space, chain)
+    want = reference_flatness(space, chain.vertex_set(), edges, (1, 2, 3))
+    assert report.problems == want
+    assert report.ok is flat
+
+
 @PROPS
 @given(st.data())
 def test_ball_matches_distances(data):
     space = SPACES[data.draw(st.sampled_from(sorted(SPACES)))]
     p = data.draw(st.integers(0, space.n_vertices - 1))
+    keep = data.draw(st.one_of(
+        st.just(frozenset(range(space.n_vertices))),
+        st.frozensets(st.integers(0, space.n_vertices - 1))))
+    star = _star(space, p)
+    above = [v for v in range(space.n_vertices) if v > p and v in keep]
     for i in range(1, space.top_dim + 1):
-        dists = {v: k_cell_distance(space, p, v, i)
-                 for v in range(space.n_vertices) if v != p}
-        ball, meds = _ball(space, p, i)
+        dists = {v: k_cell_distance(space, p, v, i) for v in above}
+        ball, meds = _ball(space, star, p, i, keep)
         assert ball == {v: d for v, d in dists.items() if d <= 2}
         assert meds == {q: _mediators(space, p, q, i)
                         for q, d in dists.items() if d == 2}
     graph = nx.Graph(cid[1] for cid in space.cells_of_dim(1))
     graph.add_nodes_from(range(space.n_vertices))
     lengths = nx.single_source_shortest_path_length(graph, p, cutoff=2)
-    del lengths[p]
-    assert _ball(space, p, 1)[0] == lengths
+    assert _ball(space, star, p, 1, keep)[0] == {
+        v: d for v, d in lengths.items() if v in above}
+
+
+@PROPS
+@given(st.data())
+def test_star_matches_cells_containing(data):
+    space = SPACES[data.draw(st.sampled_from(sorted(SPACES)))]
+    p = data.draw(st.integers(0, space.n_vertices - 1))
+    star = _star(space, p)
+    assert len(star) == space.top_dim + 1
+    for d, cells in enumerate(star):
+        assert sorted(space._ids[c] for c in cells) == \
+            space.cells_containing(p, d)
 
 
 def _count_calls(monkeypatch, module, name) -> list:
@@ -199,11 +248,11 @@ def test_flatness_work_bound(monkeypatch):
     space, equator = gen.lattice_sphere(3, 4)
     distances = _count_calls(monkeypatch, metrics, "k_cell_distance")
     links = _count_calls(monkeypatch, complexes, "link")
-    reads = _count_calls(monkeypatch, flatness, "_chain_in_link")
+    reads = _count_calls(monkeypatch, complexes, "_chain_in_link")
     assert is_locally_flat(space, equator)
     assert distances == []
     assert links == []
-    mediators = [m for _, m, _, _ in reads]
+    mediators = [m for _, m, _, _, _ in reads]
     assert mediators
     assert len(mediators) == len(set(mediators))
 

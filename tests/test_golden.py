@@ -5,9 +5,10 @@ exit code and every file it writes are hashed with SHA-256 into one
 digest per command, compared with the digests recorded below.  A
 refactor that changes any byte of any output fails here.
 
-To re-record after an intended output change, run this file as a script
-from the repository root with ``src`` on ``PYTHONPATH``; it prints the
-table.
+To re-record after an intended output change, or to record a case just
+added to ``_cases()``, run this file as a script from the repository
+root with ``src`` on ``PYTHONPATH``; it prints the table, with a row for
+every case of ``_cases()``, each run in its own temporary directory.
 """
 
 import contextlib
@@ -217,6 +218,10 @@ def test_cli_outputs_match_recorded_digests(name, tmp_path, monkeypatch):
     assert _digests(name) == GOLDEN[name]
 
 
+def test_every_case_has_recorded_digests():
+    assert sorted(_cases()) == sorted(GOLDEN)
+
+
 @pytest.mark.parametrize("case_id", FIGURE_IDS)
 def test_flat_reports_match_recorded_digests(case_id, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -236,7 +241,7 @@ if __name__ == "__main__":
                 os.chdir(cwd)
 
     print("GOLDEN = {")
-    for case in sorted(GOLDEN):
+    for case in sorted(_cases()):
         print("    %r: {" % case)
         for cmd, digest in _in_tmp(_digests, case).items():
             print("        %r:\n            %r," % (cmd, digest))
