@@ -89,12 +89,18 @@ class CellChain:
     the closing vertex); their edge cells are derived.  Unordered chains store
     cell ids only and leave ``verts`` None.  A single-vertex "path" has one
     vertex and no cells.
+
+    A dim-1 chain keeps the edge set ``edge_set()`` builds on its first
+    call; no caller sets it, and it takes no part in equality, hashing or
+    repr.  ``vertex_set()`` builds a new set on each call.
     """
 
     dim: int
     cells: tuple
     closed: bool = False
     verts: tuple | None = None
+    _edges: frozenset | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     @staticmethod
     def path(space: "DiscreteSpace", vertices, closed: bool = False) -> "CellChain":
@@ -110,13 +116,40 @@ class CellChain:
             if len(vertices) < 3:
                 raise InputError("closed path needs at least 3 vertices")
             pairs.append((vertices[-1], vertices[0]))
-        cells = []
-        for u, v in pairs:
-            e = edge_key(u, v)
-            if e not in space.edges:
-                raise InputError("path step (%d, %d) is not an edge" % (u, v))
-            cells.append((1, e))
-        return CellChain(1, tuple(cells), closed=closed, verts=vertices)
+        return CellChain(1, _steps(space, pairs), closed=closed,
+                         verts=vertices)
+
+    @staticmethod
+    def _spliced(space: "DiscreteSpace", chain: "CellChain", p: int, k: int,
+                 bridge: tuple) -> "CellChain":
+        """The curve ``chain`` with its k edges from position p (mod its
+        length when closed) replaced by the walk from ``verts[p]`` through
+        the new vertices ``bridge`` to ``verts[p + k]``.
+
+        Only the spliced-in arc is checked: each of its steps must be an
+        edge, and the bridge vertices must be distinct and off ``chain``,
+        so the result is again a simple curve.  The kept vertices and edge
+        cells are sliced from ``chain``.  A closed result runs from its
+        smallest vertex toward the smaller neighbour, as ``walk`` orders a
+        cycle; an open one keeps the start of ``chain``.
+        """
+        verts, cells = chain.verts, chain.cells
+        if len(set(bridge)) != len(bridge) or \
+                any(v in verts for v in bridge):
+            raise InputError("spliced arc %r repeats a curve vertex"
+                             % (bridge,))
+        if chain.closed:
+            verts, cells = verts[p:] + verts[:p], cells[p:] + cells[:p]
+            p = 0
+        arc = verts[p:p + 1] + bridge + verts[p + k:p + k + 1]
+        verts = verts[:p + 1] + bridge + verts[p + k:]
+        cells = cells[:p] + _steps(space, zip(arc, arc[1:])) + cells[p + k:]
+        if chain.closed:
+            m = verts.index(min(verts))
+            verts, cells = verts[m:] + verts[:m], cells[m:] + cells[:m]
+            if verts[-1] < verts[1]:
+                verts, cells = verts[:1] + verts[:0:-1], cells[::-1]
+        return CellChain(1, cells, closed=chain.closed, verts=verts)
 
     @staticmethod
     def of_cells(space: "DiscreteSpace", dim: int, cell_ids, closed: bool = False) -> "CellChain":
@@ -132,15 +165,31 @@ class CellChain:
         return frozenset(v for cid in self.cells for v in cid[1])
 
     def edge_set(self) -> frozenset:
-        if self.dim != 1:
-            raise InputError("edge_set is only defined for dim-1 chains")
-        return frozenset(cid[1] for cid in self.cells)
+        edges = self._edges
+        if edges is None:
+            if self.dim != 1:
+                raise InputError("edge_set is only defined for dim-1 chains")
+            edges = frozenset(cid[1] for cid in self.cells)
+            object.__setattr__(self, "_edges", edges)
+        return edges
 
     def reversed(self) -> "CellChain":
         if self.verts is None:
             return self
         return CellChain(self.dim, tuple(reversed(self.cells)), self.closed,
                          tuple(reversed(self.verts)))
+
+
+def _steps(space: "DiscreteSpace", pairs) -> tuple:
+    """The edge cells of the vertex steps ``pairs``; InputError at the
+    first step that is not an edge."""
+    cells = []
+    for u, v in pairs:
+        e = edge_key(u, v)
+        if e not in space.edges:
+            raise InputError("path step (%d, %d) is not an edge" % (u, v))
+        cells.append((1, e))
+    return tuple(cells)
 
 
 @dataclass
@@ -175,6 +224,8 @@ class DiscreteSpace:
         cell ids; otherwise the boundary is derived from the registries.
         ``oriented`` declares orientability for spaces of dimension >= 3;
         for 2-dimensional spaces a consistency pass computes it.
+        ``longest_loop``, the most vertices of a 2-cell loop (0 without
+        2-cells), is recorded as the 2-cells register.
         """
         if n_vertices <= 0:
             raise InputError("a space needs at least one vertex")
@@ -198,6 +249,7 @@ class DiscreteSpace:
         if any(d < 2 for d in dims):
             raise InputError("cells_by_dim only holds dimensions >= 2")
         self.top_dim = max(dims) if dims else 1
+        self.longest_loop = 0
         boundaries = boundaries or {}
 
         for d in dims:
@@ -222,6 +274,8 @@ class DiscreteSpace:
             for verts, bnd, loop in sorted(valid):
                 self._register(Cell(d, verts, bnd, loop),
                                tuple(map(self._num.__getitem__, bnd)))
+            if d == 2:
+                self.longest_loop = max(len(verts) for verts, _, _ in valid)
         # frozen as tuples: the collector stops tracking a tuple of ints
         self._ids, self._bnd = tuple(self._ids), tuple(self._bnd)
         self._cof = tuple(map(tuple, self._cof))

@@ -4,14 +4,21 @@ Two curves are gradually varied when each can be matched to the other by
 moving every point at most one cell: every non-end vertex of one lies on
 the other or shares a 2-cell (spanned by the two curves' vertices) with it,
 and every non-end edge not shared lies in such a 2-cell (a coface) that
-carries an edge of the other curve.  A gradually varied move decomposes
-into single-cell moves, each the XorSum with one 2-cell boundary.  A move
-needs an edge of the cell on the curve, so the move searches try only the
-cofaces of the current curve's edges and skip every other cell of their
-pool.  When the cell's loop meets the curve in one arc, the XorSum is a
-splice: the curve's arc is replaced by the loop's other arc, read off the
-loop and the curve's vertex order without rebuilding the curve from its
-edges.  Side variation additionally forbids cross-overs: a stretch
+carries an edge of the other curve.  The edge clause covers the vertex
+clause: a non-end vertex off the other curve lies on a non-end edge off
+it, and the 2-cell matching that edge also matches the vertex.  So the
+vertex clause is tested only where there is no edge to test, against a
+point or along an open path of at most three vertices.  A gradually
+varied move decomposes into single-cell moves, each the XorSum with one
+2-cell boundary.  A move needs an edge of the cell on the curve, so the
+move searches try only the cofaces of the current curve's edges and skip
+every other cell of their pool.  When the cell's loop meets the curve in
+one arc, the XorSum is a splice: the curve's arc is replaced by the
+loop's other arc, read off the loop and the curve's vertex order without
+rebuilding the curve from its edges.  The new curve is built by
+``CellChain._spliced``, which checks only the spliced-in arc and slices
+the rest from the old curve; each curve keeps its edge set once built.
+Side variation additionally forbids cross-overs: a stretch
 of edges both curves share that one curve enters and leaves on opposite
 sides of the other, read in the oriented links of the stretch's ends (a
 boundary vertex's link path is closed by a sentinel for the outside).
@@ -19,9 +26,10 @@ A cycle on a surface contracts by construction: its smaller side is
 dissolved one cell per move toward a cell at the anchor, so the result
 within a step budget is exact; above dimension 2 a bounded search over
 single-cell moves looks for one.  One move shortens a curve by at most
-the longest 2-cell loop less two vertices, so the search cuts a curve
-too long to shrink to a 2-cell in the moves it has left; the cut drops
-only states that cannot reach a goal, so it changes no result.
+the longest 2-cell loop (recorded by the space) less two vertices, so the
+search cuts a curve too long to shrink to a 2-cell in the moves it has
+left; the cut drops only states that cannot reach a goal, so it changes
+no result.
 """
 
 from __future__ import annotations
@@ -78,11 +86,6 @@ def _nonend_verts(chain: CellChain) -> tuple:
     return chain.verts[1:-1]
 
 
-def _nonend_edges(chain: CellChain) -> tuple:
-    edges = tuple(cid[1] for cid in chain.cells)
-    return edges if chain.closed else edges[1:-1]
-
-
 def _within_one_cell(space: DiscreteSpace, x: int, y: int) -> bool:
     if x == y:
         return True
@@ -93,7 +96,11 @@ def _within_one_cell(space: DiscreteSpace, x: int, y: int) -> bool:
 
 def are_gradually_varied(space: DiscreteSpace, c: CellChain,
                          cp: CellChain) -> bool:
-    """One-step deformability of two simple curves (or a curve and a point)."""
+    """One-step deformability of two simple curves (or a curve and a point).
+
+    Each curve is matched on the other by ``_half_varied``, both reading
+    one union of the curves' vertex sets.
+    """
     _require_curve(c)
     _require_curve(cp)
     if c.closed != cp.closed and 1 not in (len(c.verts), len(cp.verts)):
@@ -115,30 +122,39 @@ def are_gradually_varied(space: DiscreteSpace, c: CellChain,
 def _spanned_cells(space: DiscreteSpace, verts: frozenset) -> list:
     """The 2-cells with every vertex in ``verts``, sorted."""
     return sorted({cid for v in verts for cid in space.cells_containing(v, 2)
-                   if set(cid[1]) <= verts})
+                   if verts.issuperset(cid[1])})
 
 
 def _half_varied(space: DiscreteSpace, c: CellChain, cp: CellChain,
                  verts: frozenset) -> bool:
     """Every non-end vertex and edge of c is matched on cp, through the
-    2-cells at it spanned by ``verts``, the two curves' vertices."""
-    other_verts = cp.vertex_set()
+    2-cells at it spanned by ``verts``, the two curves' vertices.
+
+    The vertex clause runs only where the edge clause is vacuous: cp is
+    one vertex, or c is an open path of at most three vertices.  Otherwise
+    a non-end vertex of c off cp lies on a non-end edge of c, which is off
+    cp too, and the spanned 2-cell matching that edge holds the vertex and,
+    through its edge of cp, a vertex of cp: the vertex test could only
+    repeat the edge test's verdict."""
     if len(c.verts) == 1:
         return True
-    for v in _nonend_verts(c):
-        if v in other_verts:
-            continue
-        if not any(other_verts & set(cid[1]) and verts.issuperset(cid[1])
-                   for cid in space.cells_containing(v, 2)):
-            return False
-    if len(cp.verts) == 1:
-        return True
+    if len(cp.verts) == 1 or not c.closed and len(c.verts) <= 3:
+        other_verts = cp.vertex_set()
+        for v in _nonend_verts(c):
+            if v in other_verts:
+                continue
+            if not any(other_verts & set(cid[1]) and verts.issuperset(cid[1])
+                       for cid in space.cells_containing(v, 2)):
+                return False
+        if len(cp.verts) == 1:
+            return True
     mine = c.edge_set()
     theirs = cp.edge_set()
     gains = theirs - mine
-    for e in _nonend_edges(c):
-        if e in theirs:
-            continue
+    lost = mine - theirs
+    if not c.closed:
+        lost = lost - {c.cells[0][1], c.cells[-1][1]}
+    for e in lost:
         if not any(verts.issuperset(cid[1]) and
                    gains & {b[1] for b in space.cells[cid].boundary}
                    for cid in space.cofaces((1, e))):
@@ -202,9 +218,10 @@ def single_cell_move(space: DiscreteSpace, chain: CellChain, cell):
 
     The move is a splice: the arc the cell shares with the curve is
     replaced by the other arc of the cell's loop, which meets the curve
-    only at its two ends, so the result is again a simple curve.  A closed
-    result runs from its smallest vertex toward the smaller neighbour, an
-    open one from the start of ``chain`` (the order ``walk`` gives).
+    only at its two ends, so the result is again a simple curve, and
+    ``CellChain._spliced`` checks only that new arc.  A closed result runs
+    from its smallest vertex toward the smaller neighbour, an open one
+    from the start of ``chain`` (the order ``walk`` gives).
     """
     arc = _attaching_arc(space, chain, cell)
     if arc is None:
@@ -218,16 +235,7 @@ def single_cell_move(space: DiscreteSpace, chain: CellChain, cell):
         p, bridge = i, ring[:k:-1]
     else:
         p, bridge = verts.index(ring[k]), ring[k + 1:]
-    if chain.closed:
-        rot = verts[p:] + verts[:p]
-        new = rot[:1] + bridge + rot[k:]
-        m = new.index(min(new))
-        new = new[m:] + new[:m]
-        if new[-1] < new[1]:
-            new = new[:1] + new[:0:-1]
-    else:
-        new = verts[:p + 1] + bridge + verts[p + k:]
-    return CellChain.path(space, new, closed=chain.closed)
+    return CellChain._spliced(space, chain, p, k, bridge)
 
 
 def _cell_moves(space: DiscreteSpace, chain: CellChain, pool=None):
@@ -706,11 +714,10 @@ def _deepening_search(space: DiscreteSpace, cycle: CellChain, p: int,
                 return cid
         return None
 
-    # the longest 2-cell loop: a goal curve has at most this many vertices
-    longest = max((len(c[1]) for c in space.cells_of_dim(2)), default=0)
+    # a goal curve has at most as many vertices as the longest 2-cell loop
     for depth in range(1, step_budget + 1):
-        found = _contract_dfs(space, cycle, p, depth, goal_cell, longest,
-                              frozenset(), set())
+        found = _contract_dfs(space, cycle, p, depth, goal_cell,
+                              space.longest_loop, frozenset(), set())
         if found is not None:
             return found
     return None

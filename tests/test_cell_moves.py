@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from celltopo import deformation
 from celltopo import generators as gen
 from celltopo.complexes import CellChain, edge_key, walk
+from celltopo.errors import InputError
 from celltopo.deformation import (_cell_moves, _contract_dfs, bfs_moves,
                                   cell_boundary_chain, edges_to_curve,
                                   intersection_is_attaching_arc, point_chain,
@@ -124,14 +125,48 @@ def _assert_splice_matches(space, curve):
     for cell in space.cells_of_dim(2):
         assert intersection_is_attaching_arc(space, curve, cell) is \
             walk_based_arc(space, curve, cell)
-        assert single_cell_move(space, curve, cell) == \
-            walk_based_move(space, curve, cell)
+        moved = single_cell_move(space, curve, cell)
+        assert moved == walk_based_move(space, curve, cell)
+        if moved is not None:
+            _assert_whole_curve(space, moved)
+
+
+def _assert_whole_curve(space, r):
+    """``r`` is the curve ``CellChain.path`` builds from its vertices,
+    and the edge set it keeps is the one its cells give."""
+    full = CellChain.path(space, r.verts, closed=r.closed)
+    assert (r.dim, r.cells, r.closed, r.verts) == \
+        (full.dim, full.cells, full.closed, full.verts)
+    assert r.edge_set() == frozenset(cid[1] for cid in r.cells)
+    assert r.edge_set() is r.edge_set()
+    assert r.vertex_set() == frozenset(r.verts)
 
 
 @PROPS
 @given(stepped_curves())
 def test_splice_matches_the_walk_based_move(case):
     _assert_splice_matches(*case)
+
+
+def test_splice_checks_only_the_new_arc():
+    # the square (0, 1, 5, 4) of a 4 x 4 torus moves the path 0-1-2 by
+    # replacing its edge 0-1 with the walk 0-4-5-1
+    space = gen.torus_grid(4, 4)
+    curve = CellChain.path(space, (0, 1, 2))
+    moved = CellChain._spliced(space, curve, 0, 1, (4, 5))
+    assert moved == CellChain.path(space, (0, 4, 5, 1, 2))
+    assert moved == single_cell_move(space, curve, (2, (0, 1, 4, 5)))
+    # walks of edges through the curve vertex 2 or twice through 5, and
+    # a step 0-5 that is not an edge
+    for bridge in ((4, 5, 6, 2), (4, 5, 9, 5), (5,)):
+        with pytest.raises(InputError):
+            CellChain._spliced(space, curve, 0, 1, bridge)
+    # on the closed row 0-1-2-3: the edge 3-0 replaced through the curve
+    # vertex 2, and the edge 0-1 through 12, which is not next to 1
+    ring = CellChain.path(space, (0, 1, 2, 3), closed=True)
+    for p, bridge in ((3, (2,)), (0, (12,))):
+        with pytest.raises(InputError):
+            CellChain._spliced(space, ring, p, 1, bridge)
 
 
 def _short_paths(space, length):
@@ -254,6 +289,20 @@ def test_searches_walk_no_edge_set(monkeypatch):
               lambda steps, moves: None, 2)
     assert len(moves) > 1000
     assert walks == []
+
+
+def test_search_reads_the_recorded_longest_loop(monkeypatch):
+    # the length cut's bound comes from the space, recorded when its
+    # 2-cells registered: the search lists no 2-cells
+    space, rings = _facet_rings(3, 4)
+    ring = rings["facet-x0"]
+    listed = []
+    real = space.cells_of_dim
+    monkeypatch.setattr(space, "cells_of_dim",
+                        lambda d: listed.append(d) or real(d))
+    assert search_contraction(space, ring, ring.verts[0], 6) is not None
+    assert space.longest_loop == 4
+    assert listed == []
 
 
 # -- the contraction search without the length cut ----------------------------

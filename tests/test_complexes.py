@@ -72,6 +72,39 @@ def test_generated_counts(octa, simplex3, simplex4, cube3, cube4):
 # -- partial graph ------------------------------------------------------------
 
 
+def test_chain_keeps_its_edge_set(octa):
+    # built on the first call and returned after; it takes no part in
+    # equality, hashing or repr, and no caller passes it in
+    a = CellChain.path(octa, (1, 2, 3, 4), closed=True)
+    b = CellChain.path(octa, (1, 2, 3, 4), closed=True)
+    edges = a.edge_set()
+    assert edges == {(1, 2), (2, 3), (3, 4), (1, 4)}
+    assert a.edge_set() is edges
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    with pytest.raises(TypeError):
+        CellChain(1, a.cells, True, a.verts, edges)
+    faces = CellChain.of_cells(octa, 2, octa.cells_of_dim(2)[:2])
+    for _ in range(2):
+        with pytest.raises(InputError):
+            faces.edge_set()
+
+
+def test_longest_loop_is_recorded(octa, simplex4, cube3, torus44):
+    # the most vertices of a 2-cell loop, whatever the top dimension; a
+    # square pyramid mixes both sizes, its square registered last, and a
+    # bare graph has none
+    pyramid = DiscreteSpace(5, [(1, 2), (2, 3), (3, 4), (1, 4), (0, 1),
+                                (0, 2), (0, 3), (0, 4)],
+                            {2: [(1, 2, 3, 4), (0, 1, 2), (0, 2, 3),
+                                 (0, 3, 4), (0, 1, 4)]})
+    for space in (octa, simplex4, cube3, torus44, pyramid,
+                  gen.lattice_sphere(4, 2)[0]):
+        assert space.longest_loop == max(len(cid[1]) for cid in
+                                         space.cells_of_dim(2))
+    assert pyramid.longest_loop == 4
+    assert DiscreteSpace(3, [(0, 1), (1, 2)], {}).longest_loop == 0
+
+
 def test_partial_graph_triangle():
     space = DiscreteSpace(3, [(0, 1), (1, 2), (0, 2)], {2: [(0, 1, 2)]})
     assert partial_graph(space, {0, 1}) == frozenset([(0, 1)])

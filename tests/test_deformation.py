@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from celltopo import deformation
 from celltopo import generators as gen
@@ -255,6 +257,163 @@ def test_single_cell_move_lemma_quantified():
                 checked += 1
                 assert are_gradually_varied(space, chain, out)
         assert checked > 100
+
+
+# -- gradual variation against the two-clause rule ---------------------------------
+
+
+ORACLE_SPACES = {
+    "S(3, 4)": gen.lattice_sphere(3, 4)[0],
+    "S(4, 2)": gen.lattice_sphere(4, 2)[0],
+    "octahedron": gen.octahedron(),
+    "torus": gen.torus_grid(4, 4),
+}
+
+ORACLE_PROPS = settings(max_examples=400, deadline=None,
+                        suppress_health_check=[HealthCheck.too_slow])
+
+
+def two_clause_half_varied(space, c, cp, verts) -> bool:
+    """The rule as stated: the vertex clause at every non-end vertex of c,
+    then the edge clause at every non-end edge."""
+    other_verts = cp.vertex_set()
+    if len(c.verts) == 1:
+        return True
+    for v in (c.verts if c.closed else c.verts[1:-1]):
+        if v in other_verts:
+            continue
+        if not any(other_verts & set(cid[1]) and verts.issuperset(cid[1])
+                   for cid in space.cells_containing(v, 2)):
+            return False
+    if len(cp.verts) == 1:
+        return True
+    mine = c.edge_set()
+    theirs = cp.edge_set()
+    gains = theirs - mine
+    edges = tuple(cid[1] for cid in c.cells)
+    for e in (edges if c.closed else edges[1:-1]):
+        if e in theirs:
+            continue
+        if not any(verts.issuperset(cid[1]) and
+                   gains & {b[1] for b in space.cells[cid].boundary}
+                   for cid in space.cofaces((1, e))):
+            return False
+    return True
+
+
+def two_clause_gradually_varied(space, c, cp) -> bool:
+    if not c.closed and not cp.closed:
+        near = deformation._within_one_cell
+        if not (near(space, c.verts[0], cp.verts[0]) and
+                near(space, c.verts[-1], cp.verts[-1]) or
+                near(space, c.verts[0], cp.verts[-1]) and
+                near(space, c.verts[-1], cp.verts[0])):
+            return False
+    verts = c.vertex_set() | cp.vertex_set()
+    return (two_clause_half_varied(space, c, cp, verts)
+            and two_clause_half_varied(space, cp, c, verts))
+
+
+def _moved(draw, space, curve, most):
+    """``curve`` after up to ``most`` drawn single-cell moves."""
+    for _ in range(draw(st.integers(0, most))):
+        options = [nxt for _, nxt in deformation._cell_moves(space, curve)]
+        if not options:
+            break
+        curve = draw(st.sampled_from(options))
+    return curve
+
+
+def _walk(draw, space, start, length):
+    """A self-avoiding walk from ``start`` of at most ``length``
+    vertices."""
+    path = [start]
+    while len(path) < length:
+        fresh = [w for w in space.vertex_neighbors(path[-1])
+                 if w not in path]
+        if not fresh:
+            break
+        path.append(draw(st.sampled_from(fresh)))
+    return path
+
+
+@st.composite
+def oracle_pairs(draw):
+    """A space and two curves of one kind: closed curves reached by
+    single-cell moves from a 2-cell's boundary, the second from the first
+    or drawn apart; open paths of 1 to 6 vertices, the second after moves
+    (same ends), ending at the first's ends or drawn apart; or a point
+    and a closed curve, in either order."""
+    space = ORACLE_SPACES[draw(st.sampled_from(sorted(ORACLE_SPACES)))]
+    kind = draw(st.sampled_from(("closed", "open", "point")))
+    cells = space.cells_of_dim(2)
+    if kind == "open":
+        c = CellChain.path(space, _walk(
+            draw, space, draw(st.integers(0, space.n_vertices - 1)),
+            draw(st.integers(1, 6))))
+        how = draw(st.sampled_from(("moved", "same ends", "apart")))
+        if how == "moved":
+            cp = _moved(draw, space, c, 3)
+        elif how == "same ends" and len(c.verts) > 1:
+            # a walk from c's start closed off at c's end once it gets
+            # next to it
+            last = c.verts[-1]
+            path = [c.verts[0]]
+            while last not in path and len(path) < 6:
+                fresh = [w for w in space.vertex_neighbors(path[-1])
+                         if w not in path]
+                if not fresh:
+                    break
+                path.append(last if last in fresh else
+                            draw(st.sampled_from(fresh)))
+            cp = CellChain.path(space, path)
+        else:
+            cp = CellChain.path(space, _walk(
+                draw, space, draw(st.integers(0, space.n_vertices - 1)),
+                draw(st.integers(1, 6))))
+    else:
+        # a single-cell move keeps a closed curve closed
+        c = _moved(draw, space, cell_boundary_chain(
+            space, draw(st.sampled_from(cells))), 6)
+        if kind == "point":
+            v = draw(st.one_of(st.sampled_from(c.verts),
+                               st.integers(0, space.n_vertices - 1)))
+            cp = point_chain(space, v)
+        elif draw(st.booleans()):
+            cp = _moved(draw, space, c, 3)
+        else:
+            cp = _moved(draw, space, cell_boundary_chain(
+                space, draw(st.sampled_from(cells))), 6)
+    if draw(st.booleans()):
+        c, cp = cp, c
+    return space, c, cp
+
+
+@ORACLE_PROPS
+@given(oracle_pairs())
+def test_gradual_variation_matches_the_two_clause_rule(case):
+    space, c, cp = case
+    want = two_clause_gradually_varied(space, c, cp)
+    event("gradually varied" if want else "not gradually varied")
+    assert are_gradually_varied(space, c, cp) is want
+    assert are_gradually_varied(space, cp, c) is \
+        two_clause_gradually_varied(space, cp, c)
+    side = want and (space.top_dim != 2 or min(len(c.verts),
+                                               len(cp.verts)) < 2
+                     or not crosses_over(space, c, cp))
+    assert are_side_gradually_varied(space, c, cp) is side
+
+
+def test_only_the_vertex_clause_decides_short_paths(octa):
+    # two 3-vertex paths between the poles: no non-end edge, so only the
+    # vertex clause can tell them apart, and 1 and 3 share no triangle
+    a = CellChain.path(octa, (0, 1, 5))
+    b = CellChain.path(octa, (0, 3, 5))
+    assert not two_clause_gradually_varied(octa, a, b)
+    assert not are_gradually_varied(octa, a, b)
+    assert not are_gradually_varied(octa, b, a)
+    assert not are_side_gradually_varied(octa, a, b)
+    assert are_gradually_varied(octa, a, CellChain.path(octa, (0, 2, 5)))
 
 
 # -- cross-over -------------------------------------------------------------------
