@@ -29,8 +29,14 @@ read incidence by id only: ``cofaces``, ``cells_containing``,
 check's readers run on numbers here: ``_star`` (the cells at a vertex, per
 dimension), ``_ball`` (the vertices of a set at distance 1 or 2 from a
 vertex) and ``_chain_in_link`` (the chain in a mediator's link).  A built
-space is immutable; every query reads the index and is a pure function,
-safe to run concurrently.
+space is immutable but for one write-once store, ``_rotations``: each
+vertex's oriented link cycle (its rotation), filled by ``deformation`` on
+first use.  An ordered curve likewise keeps its edge set once built.
+Each stored value is a pure function of the immutable index, so two
+threads that fill one entry at once build equal values, and the single
+dict item or attribute assignment that stores it leaves one of them whole;
+every query reads the index and is a pure function, safe to run
+concurrently.
 """
 
 from __future__ import annotations
@@ -213,7 +219,8 @@ class Subcomplex:
 
 
 class DiscreteSpace:
-    """The universe: graph plus registries, immutable after construction."""
+    """The universe: graph plus registries, immutable after construction
+    but for the write-once rotation store (see the module docstring)."""
 
     def __init__(self, n_vertices: int, edges, cells_by_dim: dict,
                  boundaries: dict | None = None, oriented: bool | None = None):
@@ -250,6 +257,8 @@ class DiscreteSpace:
             raise InputError("cells_by_dim only holds dimensions >= 2")
         self.top_dim = max(dims) if dims else 1
         self.longest_loop = 0
+        # vertex -> its oriented link cycle, filled by deformation on first use
+        self._rotations: dict = {}
         boundaries = boundaries or {}
 
         for d in dims:

@@ -4,32 +4,38 @@ Two curves are gradually varied when each can be matched to the other by
 moving every point at most one cell: every non-end vertex of one lies on
 the other or shares a 2-cell (spanned by the two curves' vertices) with it,
 and every non-end edge not shared lies in such a 2-cell (a coface) that
-carries an edge of the other curve.  The edge clause covers the vertex
-clause: a non-end vertex off the other curve lies on a non-end edge off
-it, and the 2-cell matching that edge also matches the vertex.  So the
-vertex clause is tested only where there is no edge to test, against a
-point or along an open path of at most three vertices.  A gradually
-varied move decomposes into single-cell moves, each the XorSum with one
-2-cell boundary.  A move needs an edge of the cell on the curve, so the
-move searches try only the cofaces of the current curve's edges and skip
-every other cell of their pool.  When the cell's loop meets the curve in
-one arc, the XorSum is a splice: the curve's arc is replaced by the
-loop's other arc, read off the loop and the curve's vertex order without
+carries an edge of the other curve; a coface's boundary edges are read
+against the other curve's gained edges in place, with no set built per
+cell.  The edge clause covers the vertex clause: a non-end vertex off the
+other curve lies on a non-end edge off it, and the 2-cell matching that
+edge also matches the vertex.  So the vertex clause is tested only where
+there is no edge to test, against a point or along an open path of at most
+three vertices.  A gradually varied move decomposes into single-cell moves,
+each the XorSum with one 2-cell boundary.  A move needs an edge of the cell
+on the curve, so the move searches try only the cofaces of the current
+curve's edges and skip every other cell of their pool.  A move by a cell
+with loop edges L takes the curve's edge set E to E xor L, so the greedy
+decomposition scores a cell's gap to the target from its loop alone and
+builds only the move it takes; the pool of every spanned cell is built only
+for its breadth-first fallback.  When the cell's loop meets the curve in
+one arc, the XorSum is a splice: the curve's arc is replaced by the loop's
+other arc, read off the loop and the curve's vertex order without
 rebuilding the curve from its edges.  The new curve is built by
-``CellChain._spliced``, which checks only the spliced-in arc and slices
-the rest from the old curve; each curve keeps its edge set once built.
-Side variation additionally forbids cross-overs: a stretch
-of edges both curves share that one curve enters and leaves on opposite
-sides of the other, read in the oriented links of the stretch's ends (a
-boundary vertex's link path is closed by a sentinel for the outside).
-A cycle on a surface contracts by construction: its smaller side is
-dissolved one cell per move toward a cell at the anchor, so the result
-within a step budget is exact; above dimension 2 a bounded search over
-single-cell moves looks for one.  One move shortens a curve by at most
-the longest 2-cell loop (recorded by the space) less two vertices, so the
-search cuts a curve too long to shrink to a 2-cell in the moves it has
-left; the cut drops only states that cannot reach a goal, so it changes
-no result.
+``CellChain._spliced``, which checks only the spliced-in arc and slices the
+rest from the old curve; each curve keeps its edge set once built.  Side
+variation additionally forbids cross-overs: a stretch of edges both curves
+share that one curve enters and leaves on opposite sides of the other, read
+in the oriented links of the stretch's ends (a boundary vertex's link path
+is closed by a sentinel for the outside).  A vertex's oriented link, its
+rotation, is built on first use and kept in a write-once store on the
+space, so later queries on that space read it.  A cycle on a surface
+contracts by construction: its smaller side is dissolved one cell per move
+toward a cell at the anchor, so the result within a step budget is exact;
+above dimension 2 a bounded search over single-cell moves looks for one.
+One move shortens a curve by at most the longest 2-cell loop (recorded by
+the space) less two vertices, so the search cuts a curve too long to shrink
+to a 2-cell in the moves it has left; the cut drops only states that cannot
+reach a goal, so it changes no result.
 """
 
 from __future__ import annotations
@@ -135,7 +141,9 @@ def _half_varied(space: DiscreteSpace, c: CellChain, cp: CellChain,
     a non-end vertex of c off cp lies on a non-end edge of c, which is off
     cp too, and the spanned 2-cell matching that edge holds the vertex and,
     through its edge of cp, a vertex of cp: the vertex test could only
-    repeat the edge test's verdict."""
+    repeat the edge test's verdict.  The edge clause tests each boundary
+    edge of a spanned coface of a lost edge against the gained edges in
+    place; it builds no edge set per coface."""
     if len(c.verts) == 1:
         return True
     if len(cp.verts) == 1 or not c.closed and len(c.verts) <= 3:
@@ -154,11 +162,19 @@ def _half_varied(space: DiscreteSpace, c: CellChain, cp: CellChain,
     lost = mine - theirs
     if not c.closed:
         lost = lost - {c.cells[0][1], c.cells[-1][1]}
+    cells = space.cells
+    # plain loops: here a generator costs more than the tests it runs
     for e in lost:
-        if not any(verts.issuperset(cid[1]) and
-                   gains & {b[1] for b in space.cells[cid].boundary}
-                   for cid in space.cofaces((1, e))):
-            return False
+        for cid in space.cofaces((1, e)):
+            if verts.issuperset(cid[1]):
+                for b in cells[cid].boundary:
+                    if b[1] in gains:
+                        break
+                else:
+                    continue
+                break           # a spanned coface of e holds a gained edge
+        else:
+            return False        # no coface of e matches it on cp
     return True
 
 
@@ -293,9 +309,12 @@ def decompose_minimal_moves(space: DiscreteSpace, c: CellChain,
                             cp: CellChain) -> DeformationTrace:
     """Split one gradually varied move into single-cell moves.
 
-    Cells are peeled greedily in ascending id among those attached to the
-    evolving curve by an arc; a breadth-first fallback covers the rare
-    layouts where the greedy order wedges.
+    Cells are peeled greedily: each step takes the first 2-cell in
+    ascending id, among those spanned by the two curves' vertices and
+    touching the evolving curve, that both shrinks the symmetric difference
+    with cp's edges and attaches by an arc (``_shrinking_move``).  A
+    breadth-first search over every spanned cell covers the rare layouts
+    where no cell does, the greedy order wedged.
     """
     _require_curve(c)
     _require_curve(cp)
@@ -310,17 +329,15 @@ def decompose_minimal_moves(space: DiscreteSpace, c: CellChain,
         # slack endpoints stay exempt from decomposition.
         raise PreconditionError("single-cell decomposition needs matching "
                                 "endpoints")
-    pool = _spanned_cells(space, c.vertex_set() | cp.vertex_set())
+    verts = c.vertex_set() | cp.vertex_set()
     target = cp.edge_set()
 
     steps = [c]
     moves = []
     while steps[-1].edge_set() != target:
-        cur = steps[-1]
-        gap = len(cur.edge_set() ^ target)
-        best = next(((cell, nxt) for cell, nxt in _cell_moves(space, cur, pool)
-                     if len(nxt.edge_set() ^ target) < gap), None)
+        best = _shrinking_move(space, steps[-1], target, verts)
         if best is None:
+            pool = _spanned_cells(space, verts)
             trace = bfs_moves(space, c, pool, _reaching(target),
                               len(pool) + 2)
             if trace is None:
@@ -329,6 +346,26 @@ def decompose_minimal_moves(space: DiscreteSpace, c: CellChain,
         steps.append(best[1])
         moves.append(frozenset((best[0],)))
     return DeformationTrace(tuple(steps), tuple(moves), MOVE_MINIMAL)
+
+
+def _shrinking_move(space: DiscreteSpace, cur: CellChain, target: frozenset,
+                    verts: frozenset):
+    """``(cell, next curve)`` for the first 2-cell, ascending, spanned by
+    ``verts`` and touching ``cur``, whose move attaches by an arc and
+    shrinks the symmetric difference D of ``cur``'s edges and ``target``;
+    None when no cell does.  A move by a cell with loop edges L takes D to
+    D xor L, of |D| + |L| - 2|L & D| edges, so the gap is scored from the
+    loop and only a cell that shrinks it is tried."""
+    gap = cur.edge_set() ^ target
+    cells = space.cells
+    for cell in sorted(cid for cid in _touching(space, cur.cells)
+                       if verts.issuperset(cid[1])):
+        bnd = cells[cell].boundary
+        if 2 * sum(b[1] in gap for b in bnd) > len(bnd):
+            nxt = single_cell_move(space, cur, cell)
+            if nxt is not None:
+                return cell, nxt
+    return None
 
 
 def _reaching(target: frozenset):
@@ -419,11 +456,21 @@ def _oriented_link_cycle(space: DiscreteSpace, v: int) -> tuple:
     return tuple(cycle)
 
 
+def _rotation(space: DiscreteSpace, v: int) -> tuple:
+    """The oriented link cycle of v, built on first use and then read from
+    the space's write-once store; a link that is not a cycle or a path
+    raises on every call and stores nothing."""
+    cycle = space._rotations.get(v)
+    if cycle is None:
+        cycle = space._rotations[v] = _oriented_link_cycle(space, v)
+    return cycle
+
+
 def _inside_arc(space: DiscreteSpace, v: int, start: int, stop: int,
                 probe: int) -> bool:
     """Is ``probe`` strictly inside the directed walk start -> stop around
     the oriented link cycle of v?"""
-    cycle = _oriented_link_cycle(space, v)
+    cycle = _rotation(space, v)
     try:
         i, j, k = cycle.index(start), cycle.index(stop), cycle.index(probe)
     except ValueError:
@@ -454,6 +501,8 @@ def crosses_over(space: DiscreteSpace, c: CellChain, cp: CellChain) -> bool:
     sides of c, read in the oriented links of p and q.  Stretches at an
     open end of either curve are touches.  The answer does not depend on
     the argument order, the curves' directions or a closed curve's start.
+    Each oriented link is the vertex's rotation, built once per space on
+    first use (``_rotation``).
     """
     if space.top_dim != 2:
         raise PreconditionError("cross-over detection needs a 2-complex")

@@ -8,29 +8,36 @@ link, it must be symmetric, blind to the curves' directions and
 starts, never true across one single-cell move, and on a 2-sphere two
 closed curves must cross at an even number of stretches.  The oriented
 link of every vertex of those spaces must equal that of a reference
-built in two passes, and a pinch vertex's link is refused.  Contraction
+built in two passes, and a pinch vertex's link is refused.  The space
+keeps each vertex's rotation once built: stored rotations equal fresh
+builds, repeated queries build none again, threads that share a space
+fill it with the same rotations, and a refused link is built again on
+every call and never stored.  Contraction
 searches, whose every step is checked by ``verify_contraction``, must
 return traces that pass it.
 """
 
 import itertools
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from celltopo import deformation
 from celltopo import generators as gen
 from celltopo.complexes import (CellChain, DiscreteSpace, edge_key,
                                 face_counts, walk)
 from celltopo.deformation import (_OUTSIDE, _cell_moves, _crossings,
-                                  _oriented_link_cycle,
+                                  _oriented_link_cycle, _rotation,
                                   are_side_gradually_varied,
                                   cell_boundary_chain, crosses_over,
                                   search_contraction, single_cell_move,
                                   verify_contraction)
 from celltopo.errors import PreconditionError
 
-from test_flatness_oracle import PROPS
+from test_flatness_oracle import PROPS, _count_calls
 
 SPHERES = {
     "S(3,3)": gen.lattice_sphere(3, 3)[0],
@@ -242,6 +249,108 @@ def test_pinch_vertex_link_is_a_precondition_error():
         _oriented_link_cycle(pinch, 0)
     with pytest.raises(PreconditionError):
         reference_link_cycle(pinch, 0)
+
+
+# -- the rotation store -------------------------------------------------------
+
+
+ROTATION_SPACES = {
+    "octahedron": gen.octahedron,
+    "torus": lambda: gen.torus_grid(4, 4),
+    "strip": lambda: gen.strip_grid(3, 3),
+}
+
+
+def _sharing_pairs(space):
+    """Each 2-cell's boundary against its neighbours' boundaries and the
+    curves one move from it: pairs that share stretches, some ending at a
+    strip's boundary vertices."""
+    pairs = []
+    for cell in space.cells_of_dim(2):
+        c = cell_boundary_chain(space, cell)
+        pairs += [(c, cell_boundary_chain(space, n))
+                  for n in space.cell_neighbors(cell)]
+        pairs += [(c, nxt) for nxt in _moves(space, c)]
+    return pairs
+
+
+@pytest.mark.parametrize("name", sorted(ROTATION_SPACES))
+def test_stored_rotations_match_fresh_link_cycles(name):
+    space = ROTATION_SPACES[name]()
+    assert space._rotations == {}
+    for c, cp in _sharing_pairs(space):
+        crosses_over(space, c, cp)
+    assert space._rotations
+    for v, rotation in space._rotations.items():
+        assert rotation == _oriented_link_cycle(space, v)
+    if name == "strip":
+        assert any(_OUTSIDE in r for r in space._rotations.values())
+    for v in range(space.n_vertices):
+        assert _rotation(space, v) == _oriented_link_cycle(space, v)
+        assert space._rotations[v] == _oriented_link_cycle(space, v)
+
+
+@pytest.mark.parametrize("name", sorted(ROTATION_SPACES))
+def test_repeated_cross_overs_build_each_rotation_once(monkeypatch, name):
+    space = ROTATION_SPACES[name]()
+    builds = _count_calls(monkeypatch, deformation, "_oriented_link_cycle")
+    pairs = _sharing_pairs(space)
+    first = [crosses_over(space, c, cp) for c, cp in pairs]
+    built = [v for _, v in builds]
+    assert built and len(built) == len(set(built))
+    assert set(built) == set(space._rotations)
+    assert [crosses_over(space, cp, c) for c, cp in pairs] == first
+    assert [crosses_over(space, c, cp) for c, cp in pairs] == first
+    assert [v for _, v in builds] == built
+
+
+def test_threads_sharing_a_space_fill_its_store_consistently():
+    # more threads than cores, switching often, race to fill one store and
+    # the shared chains' edge sets; a lost or torn fill would show as a
+    # wrong answer or a wrong stored rotation
+    space = gen.torus_grid(4, 4)
+    pairs = _sharing_pairs(space)
+    fresh = gen.torus_grid(4, 4)
+    want = [crosses_over(fresh, c, cp) for c, cp in pairs]
+    pairs = [(CellChain.path(space, c.verts, closed=c.closed),
+              CellChain.path(space, cp.verts, closed=cp.closed))
+             for c, cp in pairs]
+    results = {}
+
+    def work(k):
+        results[k] = [crosses_over(space, c, cp) for c, cp in pairs]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [results[k] for k in range(6)] == [want] * 6
+    assert set(space._rotations) == set(fresh._rotations)
+    for v, rotation in space._rotations.items():
+        assert rotation == _oriented_link_cycle(space, v)
+
+
+def test_a_pinch_rotation_raises_on_every_call_and_is_not_stored(
+        monkeypatch):
+    # two triangles that share only vertex 0, crossed there by two paths
+    pinch = DiscreteSpace(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)],
+                          {2: [(0, 1, 2), (0, 3, 4)]})
+    builds = _count_calls(monkeypatch, deformation, "_oriented_link_cycle")
+    c = CellChain.path(pinch, (1, 0, 3))
+    cp = CellChain.path(pinch, (2, 0, 4))
+    for calls in range(1, 4):
+        with pytest.raises(PreconditionError,
+                           match="link of vertex 0 is not a cycle or a path"):
+            crosses_over(pinch, c, cp)
+        assert 0 not in pinch._rotations
+        assert [v for _, v in builds].count(0) == calls
 
 
 # -- contraction searches -----------------------------------------------------

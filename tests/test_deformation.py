@@ -210,9 +210,18 @@ def test_decompose_falls_back_when_the_greedy_order_wedges(
         return bfs_moves(*args, **kwargs)
 
     monkeypatch.setattr(deformation, "bfs_moves", counted)
+    pools = []
+    real_pool = deformation._spanned_cells
+
+    def pooled(*args):
+        pools.append(args)
+        return real_pool(*args)
+
+    monkeypatch.setattr(deformation, "_spanned_cells", pooled)
     trace = decompose_minimal_moves(space, CellChain.path(space, c, closed),
                                     CellChain.path(space, cp, closed))
     assert len(searches) == 1
+    assert len(pools) == 1      # the pool is built for the fallback alone
     assert trace.kind == "minimal"
     assert [s.verts for s in trace.steps] == steps
     assert trace.moves == tuple(frozenset((cell,)) for cell in cells)
@@ -414,6 +423,156 @@ def test_only_the_vertex_clause_decides_short_paths(octa):
     assert not are_gradually_varied(octa, b, a)
     assert not are_side_gradually_varied(octa, a, b)
     assert are_gradually_varied(octa, a, CellChain.path(octa, (0, 2, 5)))
+
+
+# -- greedy decomposition against the pool-and-splice greedy ----------------------
+
+
+def reference_decompose(space, c, cp):
+    """The greedy decomposition before moves were scored: it builds the
+    pool of every spanned 2-cell up front, splices every pool cell that
+    touches the curve, and takes the first move whose curve is nearer
+    cp's edges."""
+    deformation._require_curve(c)
+    deformation._require_curve(cp)
+    if c.edge_set() == cp.edge_set():
+        return DeformationTrace((c,), (), "minimal")
+    if not are_gradually_varied(space, c, cp):
+        raise PreconditionError("curves are not gradually varied")
+    if not c.closed and {c.verts[0], c.verts[-1]} != {cp.verts[0],
+                                                      cp.verts[-1]}:
+        raise PreconditionError("single-cell decomposition needs matching "
+                                "endpoints")
+    pool = deformation._spanned_cells(space, c.vertex_set() | cp.vertex_set())
+    target = cp.edge_set()
+    steps, moves = [c], []
+    while steps[-1].edge_set() != target:
+        cur = steps[-1]
+        gap = len(cur.edge_set() ^ target)
+        best = next(((cell, nxt) for cell, nxt in
+                     deformation._cell_moves(space, cur, pool)
+                     if len(nxt.edge_set() ^ target) < gap), None)
+        if best is None:
+            trace = bfs_moves(space, c, pool, deformation._reaching(target),
+                              len(pool) + 2)
+            if trace is None:
+                raise PreconditionError("no single-cell decomposition found")
+            return trace
+        steps.append(best[1])
+        moves.append(frozenset((best[0],)))
+    return DeformationTrace(tuple(steps), tuple(moves), "minimal")
+
+
+def _decomposition(decompose, space, c, cp):
+    """The trace's steps, moves and kind, or the error's type and
+    message."""
+    try:
+        trace = decompose(space, c, cp)
+    except (InputError, PreconditionError) as exc:
+        return type(exc).__name__, str(exc)
+    return trace.steps, trace.moves, trace.kind
+
+
+@ORACLE_PROPS
+@given(oracle_pairs())
+def test_decomposition_matches_the_pool_and_splice_greedy(case):
+    space, c, cp = case
+    got = _decomposition(decompose_minimal_moves, space, c, cp)
+    event(got[1] if isinstance(got[1], str) else
+          "%d moves" % min(len(got[1]), 3))
+    assert got == _decomposition(reference_decompose, space, c, cp)
+
+
+def test_decomposition_errors_match_the_pool_and_splice_greedy():
+    grid = gen.strip_grid(4, 3)
+
+    def vid(i, j):
+        return i * 4 + j
+
+    c = CellChain.path(grid, [vid(i, 1) for i in range(5)])
+    shifted = CellChain.path(grid, [vid(i, 2) for i in range(5)])
+    apart = CellChain.path(grid, [vid(i, 3) for i in range(5)])
+    # same ends, but the bump two rows high is not one cell away
+    far = CellChain.path(grid, [vid(0, 1), vid(1, 1), vid(1, 2), vid(1, 3),
+                                vid(2, 3), vid(2, 2), vid(2, 1), vid(3, 1),
+                                vid(4, 1)])
+    for cp, message in ((shifted, "needs matching endpoints"),
+                        (apart, "not gradually varied"),
+                        (far, "not gradually varied")):
+        got = _decomposition(decompose_minimal_moves, grid, c, cp)
+        assert got[0] == "PreconditionError" and message in got[1]
+        assert got == _decomposition(reference_decompose, grid, c, cp)
+
+
+def test_decompose_skips_a_move_that_keeps_the_gap():
+    # a row of three squares, numbered so that the middle one has the
+    # smallest id; it moves the bottom path by one edge and keeps the gap
+    # to the path over the top (two of its four edges are off by one), so
+    # the greedy takes the left square first
+    b0, b1, b2, b3, t0, t1, t2, t3 = 4, 0, 1, 6, 5, 2, 3, 7
+    row = DiscreteSpace(8, [(b0, b1), (b1, b2), (b2, b3), (t0, t1),
+                            (t1, t2), (t2, t3), (b0, t0), (b1, t1),
+                            (b2, t2), (b3, t3)],
+                        {2: [(b0, b1, t1, t0), (b1, b2, t2, t1),
+                             (b2, b3, t3, t2)]})
+    bottom = CellChain.path(row, (b0, b1, b2, b3))
+    top = CellChain.path(row, (b0, t0, t1, t2, t3, b3))
+    left, middle, right = ((2, tuple(sorted(q))) for q in
+                           ((b0, b1, t1, t0), (b1, b2, t2, t1),
+                            (b2, b3, t3, t2)))
+    assert middle < left < right
+    for c, cp in ((bottom, top), (top, bottom)):
+        trace = decompose_minimal_moves(row, c, cp)
+        assert trace.moves == tuple(frozenset((q,))
+                                    for q in (left, middle, right))
+        assert _decomposition(decompose_minimal_moves, row, c, cp) == \
+            _decomposition(reference_decompose, row, c, cp)
+
+
+def _decomposition_cases():
+    grid = gen.strip_grid(4, 3)
+    line = CellChain.path(grid, [i * 4 + 1 for i in range(5)])
+    bump = CellChain.path(grid, (1, 2, 6, 10, 9, 13, 17))
+    tg = gen.strip_grid(6, 2, triangulated=True)
+    flat = CellChain.path(tg, [3 * i for i in range(7)])
+    bumps = CellChain.path(tg, (0, 4, 3, 6, 10, 9, 12, 16, 15, 18))
+    # a square of S(3, 4) grown by two of its neighbours, one cell away
+    sphere = gen.lattice_sphere(3, 4)[0]
+    square = cell_boundary_chain(sphere, sphere.cells_of_dim(2)[0])
+    grown = next(two for _, one in deformation._cell_moves(sphere, square)
+                 for _, two in deformation._cell_moves(sphere, one)
+                 if len(two.verts) == 8 and
+                 are_gradually_varied(sphere, square, two))
+    return [(grid, line, bump), (grid, bump, line), (tg, flat, bumps),
+            (sphere, square, grown), (sphere, grown, square)]
+
+
+@pytest.mark.parametrize("space,c,cp", _decomposition_cases(),
+                         ids=["grid", "grid-back", "bumps", "sphere",
+                              "sphere-back"])
+def test_decompose_splices_only_the_moves_it_takes(monkeypatch, space, c,
+                                                    cp):
+    spliced, pools = [], []
+    real_splice, real_pool = CellChain._spliced, deformation._spanned_cells
+
+    def splice(*args):
+        spliced.append(args)
+        return real_splice(*args)
+
+    def pool(*args):
+        pools.append(args)
+        return real_pool(*args)
+
+    monkeypatch.setattr(CellChain, "_spliced", staticmethod(splice))
+    monkeypatch.setattr(deformation, "_spanned_cells", pool)
+    trace = decompose_minimal_moves(space, c, cp)
+    assert len(trace.moves) >= 2
+    assert len(spliced) == len(trace.moves)
+    assert pools == []
+    assert trace.steps[-1].edge_set() == cp.edge_set()
+    monkeypatch.undo()
+    assert _decomposition(decompose_minimal_moves, space, c, cp) == \
+        _decomposition(reference_decompose, space, c, cp)
 
 
 # -- cross-over -------------------------------------------------------------------
