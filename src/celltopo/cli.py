@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 1 domain violation (failed
 check, missing chain, wrong component count), 2 parse error or a file
-that cannot be read or written, 3 a configuration the contraction
-construction does not support.
+that cannot be read, decoded as UTF-8 or written, 3 a configuration the
+contraction construction does not support.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def _read(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("error: cannot read %s: %s" % (path, exc), file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
 

@@ -24,18 +24,19 @@ chains sorted by name, so loading and saving again is byte identical.
 An OFF export draws every vertex at synthetic coordinates from
 ``spectral_layout``: four anchors spread by breadth-first distance, then a
 fixed number of barycentric sweeps.  The rule uses exact constants and
-elementwise arithmetic only, so the coordinates do not depend on the
-numpy or BLAS build, and it runs in time linear in the vertices and edges.
+Python float arithmetic in a fixed order only, so the coordinates are the
+same wherever floats are IEEE 754 doubles, and it runs in time linear in
+the vertices and edges.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from .complexes import (CellChain, DiscreteSpace, _levels, edge_key,
-                        is_closed)
+from .complexes import CellChain, DiscreteSpace, edge_key, is_closed
 from .deformation import edges_to_curve
 from .errors import InputError, TopologyError
+from .metrics import _distances
 from .separation import ContractionTrace, Removal, _submanifold_cells, replay
 
 FORMAT_VERSION = 1
@@ -339,81 +340,68 @@ def load_trace(text: str):
 
 # The corners of a regular tetrahedron, one per anchor, and the number of
 # smoothing sweeps: both exact, so the layout is the same on every build.
-_CORNERS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
-                     [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+_CORNERS = ((1.0, 1.0, 1.0), (1.0, -1.0, -1.0),
+            (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0))
 _SWEEPS = 30
 
 
-def _vertex_distances(space: DiscreteSpace, a: int) -> np.ndarray:
-    """Edge distances from vertex ``a``, read from the level walk over the
-    edges at ``a``: a vertex is one step beyond the first level holding an
-    edge at it.  A vertex the walk cannot reach gets ``n_vertices``, more
-    than any distance it can reach."""
-    n = space.n_vertices
-    dist = [n] * n
-    dist[a] = 0
-    for step, level in enumerate(_levels(space, space.cofaces((0, (a,)))),
-                                 1):
-        for e in level:
-            for w in e[1]:
-                if dist[w] == n:
-                    dist[w] = step
-    return np.array(dist, dtype=np.int64)
+def _round6(x: float) -> float:
+    """``x`` to 6 decimals as ``rint(x * 1e6) / 1e6``: half to even, a zero
+    keeps its sign, and a product too large for a float stays infinite."""
+    y = x * 1e6
+    return (math.copysign(round(y), y) if math.isfinite(y) else y) / 1e6
 
 
-def spectral_layout(space: DiscreteSpace) -> np.ndarray:
-    """Deterministic 3D coordinates: a barycentric layout after Tutte
-    ("How to draw a graph", 1963), in time and memory linear in the
-    vertices and edges.
+def spectral_layout(space: DiscreteSpace) -> list:
+    """Deterministic 3D coordinates, one ``(x, y, z)`` tuple per vertex: a
+    barycentric layout after Tutte ("How to draw a graph", 1963), in time
+    and memory linear in the vertices and edges.
 
     - Anchors: vertex 0, then up to three more, each the vertex farthest
       from the anchors so far (its nearest anchor the farthest away),
       smallest id first on a tie.  A space of fewer than four vertices
       anchors them all.
-    - Start: each vertex sits at minus the sum, over the anchors, of its
-      edge distance to the anchor times that anchor's tetrahedron corner
-      (``_CORNERS``).  A vertex the walk from an anchor cannot reach, as
-      in another component or with no edge at all, counts as
-      ``n_vertices`` away from it.
+    - Start: from 0.0, each anchor in turn subtracts the vertex's edge
+      distance to it (``metrics._distances`` at level 1) times its
+      tetrahedron corner (``_CORNERS``).  A vertex the walk from an anchor
+      cannot reach, as in another component or with no edge at all,
+      counts as ``n_vertices`` away from it.
     - Sweeps: ``_SWEEPS`` Jacobi sweeps move every vertex that is not an
       anchor and has an edge to the mean of its neighbours' positions
-      before the sweep, added in ascending neighbour id.  Anchors and
-      vertices without an edge keep their start.
+      before the sweep, summed from 0.0 in ascending neighbour id.
+      Anchors and vertices without an edge keep their start.
 
-    Every float64 step is an elementwise ``+ - * /`` in a fixed order,
-    with no reduction and no BLAS or LAPACK call, so the coordinates are
-    the same on every build; they are rounded to 6 decimals.  The name is
-    older than the rule: the bench's traced spans look the layout up as
-    ``spectral_layout``.
+    Every step is one float ``+ - * /`` in a fixed order, so the
+    coordinates are the same on every build; ``_round6`` rounds them.
+    The name is older than the rule: the bench's traced spans look the
+    layout up as ``spectral_layout``.
     """
     n = space.n_vertices
     neighbors = [space.vertex_neighbors(v) for v in range(n)]
-    degree = np.array([len(ns) for ns in neighbors], dtype=np.int64)
-    moves = degree > 0
-    pos = np.zeros((n, 3))
-    nearest = np.full(n, n + 1, dtype=np.int64)
+    moves = [bool(ns) for ns in neighbors]
+    pos = [(0.0, 0.0, 0.0)] * n
+    nearest = [n + 1] * n
     for corner in _CORNERS[:n]:
-        a = int(np.argmax(nearest))
+        a = max(range(n), key=nearest.__getitem__)
         moves[a] = False
-        dist = _vertex_distances(space, a)
-        pos = pos - dist[:, None] * corner
-        nearest = np.minimum(nearest, dist)
-    # column j: the vertices with a (j+1)-th neighbour, and that neighbour
-    columns = []
-    for j in range(int(degree.max())):
-        rows = np.flatnonzero(degree > j)
-        columns.append((rows, np.array([neighbors[v][j] for v in rows],
-                                       dtype=np.int64)))
-    divisor = np.maximum(degree, 1)[:, None].astype(np.float64)
+        dist = dict(_distances(space, a, 1))
+        for v in range(n):
+            d = dist.get(v, n)
+            pos[v] = tuple([p - d * c for p, c in zip(pos[v], corner)])
+            nearest[v] = min(nearest[v], d)
+    movers = [(v, neighbors[v]) for v in range(n) if moves[v]]
     for _ in range(_SWEEPS):
-        total = np.zeros((n, 3))
-        for rows, cols in columns:
-            total[rows] = total[rows] + pos[cols]
-        pos = np.where(moves[:, None], total / divisor, pos)
-    return np.round(pos, 6)
+        before = pos[:]
+        for v, ns in movers:
+            sx = sy = sz = 0.0
+            for u in ns:
+                x, y, z = before[u]
+                sx, sy, sz = sx + x, sy + y, sz + z
+            pos[v] = (sx / len(ns), sy / len(ns), sz / len(ns))
+    return [tuple(map(_round6, p)) for p in pos]
 
 
-def off_snapshot(space: DiscreteSpace, cells, coords: np.ndarray) -> str:
+def off_snapshot(space: DiscreteSpace, cells, coords: list) -> str:
     """An OFF document showing the given cells as faces, in sorted order.
 
     Cells of dimension 1 are written as degenerate two-vertex faces so a
@@ -422,14 +410,14 @@ def off_snapshot(space: DiscreteSpace, cells, coords: np.ndarray) -> str:
     return next(off_snapshots(space, (sorted(cells),), coords))
 
 
-def off_snapshots(space: DiscreteSpace, snapshots, coords: np.ndarray):
+def off_snapshots(space: DiscreteSpace, snapshots, coords: list):
     """One ``off_snapshot`` document per cell sequence of ``snapshots``,
     in order, each with its faces in the order given.
 
     The vertex block is the same in every document, so it is formatted
     once, and so is each cell's face line.
     """
-    vertex_block = "".join("%.6f %.6f %.6f\n" % tuple(coords[v])
+    vertex_block = "".join("%.6f %.6f %.6f\n" % coords[v]
                            for v in range(space.n_vertices))
     line_of: dict = {}
     for cells in snapshots:

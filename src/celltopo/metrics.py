@@ -6,16 +6,16 @@ and where consecutive cells share an (i-1)-cell.  Level 1 is ordinary
 edge (graph) distance.  Within a single cell any two vertices count as
 distance 1 at that cell's level.
 
-Every level runs the shared level walk (``complexes._levels``) from the
-i-cells at x, stepping from each i-cell to its faces' cofaces; the first
-level to hold an i-cell at y is the distance.  At level 1 the steps join
-edges at a vertex, and graph distance is the 1-cell distance.  Every
-query is a pure read.
+One single-source walk (``_distances``) answers every level: the shared
+level walk (``complexes._levels``) from the i-cells at x, stepping from
+each i-cell to its faces' cofaces; a vertex's distance is the index of
+the first level to hold an i-cell at it.  At level 1 the steps join edges
+at a vertex, and graph distance is the 1-cell distance.  Every query is
+a pure read.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .complexes import CheckReport, DiscreteSpace, _levels
@@ -35,18 +35,24 @@ def k_cell_distance(space: DiscreteSpace, x: int, y: int, i: int):
     space.require_vertex(y)
     if not (1 <= i <= space.top_dim):
         raise InputError("level %d outside 1..%d" % (i, space.top_dim))
-    if x == y:
-        return 0
-    sources = space.cells_containing(x, i)
-    targets = set(space.cells_containing(y, i))
-    if not sources or not targets:
-        return UNREACHABLE
-    # the first breadth-first level through shared faces that meets a
-    # target is the distance
-    for d, level in enumerate(_levels(space, sources), 1):
-        if not targets.isdisjoint(level):
-            return d
-    return UNREACHABLE
+    return next((d for w, d in _distances(space, x, i) if w == y),
+                UNREACHABLE)
+
+
+def _distances(space: DiscreteSpace, x: int, i: int):
+    """The vertices the i-cells at x reach, each once with its i-cell
+    distance from x, nearest first: x at 0, then each vertex at the index
+    of the first ``_levels`` level from the i-cells at x that holds an
+    i-cell at it.  A caller stops the walk by leaving its loop."""
+    yield x, 0
+    seen = {x}
+    for d, level in enumerate(_levels(space, space.cells_containing(x, i)),
+                              1):
+        for cid in level:
+            for w in cid[1]:
+                if w not in seen:
+                    seen.add(w)
+                    yield w, d
 
 
 def is_triangulated(space: DiscreteSpace) -> bool:
@@ -64,12 +70,17 @@ def verify_distance_equality(space: DiscreteSpace) -> CheckReport:
     if not is_triangulated(space):
         raise PreconditionError("space is not triangulated")
     report = CheckReport(True)
-    for x, y in itertools.combinations(range(space.n_vertices), 2):
-        d1 = graph_distance(space, x, y)
-        for i in range(2, space.top_dim + 1):
-            di = k_cell_distance(space, x, y, i)
-            if di != d1:
-                report.add("d(%d, %d) = %s but %d-cell distance is %s"
-                           % (x, y, d1, i, di))
-                return report
+    levels = range(1, space.top_dim + 1)
+    # one walk per source and level; the pairs x < y are compared in
+    # lexicographic order
+    for x in range(space.n_vertices):
+        dist = [dict(_distances(space, x, i)) for i in levels]
+        for y in range(x + 1, space.n_vertices):
+            d1 = dist[0].get(y, UNREACHABLE)
+            for i in levels[1:]:
+                di = dist[i - 1].get(y, UNREACHABLE)
+                if di != d1:
+                    report.add("d(%d, %d) = %s but %d-cell distance is %s"
+                               % (x, y, d1, i, di))
+                    return report
     return report

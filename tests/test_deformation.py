@@ -323,9 +323,10 @@ def two_clause_gradually_varied(space, c, cp) -> bool:
             and two_clause_half_varied(space, cp, c, verts))
 
 
-def _moved(draw, space, curve, most):
-    """``curve`` after up to ``most`` drawn single-cell moves."""
-    for _ in range(draw(st.integers(0, most))):
+def _moved(draw, space, curve, most, least=0):
+    """``curve`` after ``least`` to ``most`` drawn single-cell moves, or
+    fewer where no move applies."""
+    for _ in range(draw(st.integers(least, most))):
         options = [nxt for _, nxt in deformation._cell_moves(space, curve)]
         if not options:
             break
@@ -348,15 +349,27 @@ def _walk(draw, space, start, length):
 
 @st.composite
 def oracle_pairs(draw):
-    """A space and two curves of one kind: closed curves reached by
-    single-cell moves from a 2-cell's boundary, the second from the first
-    or drawn apart; open paths of 1 to 6 vertices, the second after moves
-    (same ends), ending at the first's ends or drawn apart; or a point
-    and a closed curve, in either order."""
+    """A space and two curves.  Two draws in three are near pairs: a
+    closed curve (single-cell moves from a 2-cell's boundary) or an open
+    path of 2 to 6 vertices, and the same curve after 1 to 3 single-cell
+    moves, so that most draws decompose into moves.  The others are of one
+    kind: closed curves, the second moved from the first or drawn apart;
+    open paths of 1 to 6 vertices, the second after moves (same ends),
+    ending at the first's ends or drawn apart; or a point and a closed
+    curve, in either order."""
     space = ORACLE_SPACES[draw(st.sampled_from(sorted(ORACLE_SPACES)))]
-    kind = draw(st.sampled_from(("closed", "open", "point")))
+    kind = draw(st.sampled_from(("near",) * 6 + ("closed", "open", "point")))
     cells = space.cells_of_dim(2)
-    if kind == "open":
+    if kind == "near":
+        if draw(st.booleans()):
+            c = CellChain.path(space, _walk(
+                draw, space, draw(st.integers(0, space.n_vertices - 1)),
+                draw(st.integers(2, 6))))
+        else:
+            c = _moved(draw, space, cell_boundary_chain(
+                space, draw(st.sampled_from(cells))), 6)
+        cp = _moved(draw, space, c, 3, least=1)
+    elif kind == "open":
         c = CellChain.path(space, _walk(
             draw, space, draw(st.integers(0, space.n_vertices - 1)),
             draw(st.integers(1, 6))))

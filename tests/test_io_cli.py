@@ -1,7 +1,12 @@
+import math
+import os
+import subprocess
+import sys
 import time
 
-import numpy as np
 import pytest
+
+import celltopo
 
 from celltopo import cli
 from celltopo import generators as gen
@@ -235,19 +240,24 @@ def test_bad_boundary_index(octa):
 # -- layout and OFF -----------------------------------------------------------
 
 
+def _exact(rows) -> list:
+    """Each coordinate as its exact hex form, so a zero's sign counts."""
+    return [tuple(x.hex() for x in row) for row in rows]
+
+
 def test_layout_deterministic(octa):
-    # exact literals: the rule uses exact constants and elementwise float64
-    # arithmetic only, so every numpy and BLAS build gives these bytes
-    expected = np.array([[0.0, 2.0, 2.0],
-                         [-1.0, 1.0, -1.0],
-                         [-1.0, -1.0, 1.0],
-                         [-0.333333, -0.2, 0.2],
-                         [-0.333333, 0.2, -0.2],
-                         [0.0, -2.0, -2.0]])
+    # exact literals: the rule uses exact constants and float arithmetic in
+    # a fixed order only, so every build gives these bytes
+    expected = [(0.0, 2.0, 2.0),
+                (-1.0, 1.0, -1.0),
+                (-1.0, -1.0, 1.0),
+                (-0.333333, -0.2, 0.2),
+                (-0.333333, 0.2, -0.2),
+                (0.0, -2.0, -2.0)]
     a = dio.spectral_layout(octa)
-    assert a.dtype == np.float64 and a.shape == (6, 3)
-    assert np.array_equal(a, expected)
-    assert np.array_equal(dio.spectral_layout(octa), a)
+    assert all(type(x) is float for row in a for x in row)
+    assert _exact(a) == _exact(expected)
+    assert _exact(dio.spectral_layout(octa)) == _exact(a)
 
 
 @pytest.mark.parametrize("n", [4, 10, 32])
@@ -256,7 +266,8 @@ def test_layout_gives_lattice_spheres_distinct_rows(n):
     start = time.perf_counter()
     coords = dio.spectral_layout(space)
     elapsed = time.perf_counter() - start
-    assert len(np.unique(coords, axis=0)) == space.n_vertices
+    assert len(coords) == space.n_vertices
+    assert len(set(coords)) == space.n_vertices
     # S(3, 32) has 6146 vertices: a dense n x n eigensolve took about 20 s
     # there, the linear layout well under a second
     assert elapsed < 5.0
@@ -266,8 +277,8 @@ def test_layout_survives_a_file_round_trip(octa, torus44):
     for space in (octa, torus44, gen.lattice_sphere(3, 4)[0],
                   gen.lattice_sphere(4, 2)[0]):
         loaded, _ = dio.load_complex(dio.save_complex(space))
-        assert np.array_equal(dio.spectral_layout(loaded),
-                              dio.spectral_layout(space))
+        assert _exact(dio.spectral_layout(loaded)) == \
+            _exact(dio.spectral_layout(space))
 
 
 def _two_octahedra():
@@ -306,10 +317,31 @@ def test_cmd_export_lays_out_edge_inputs(name, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     lines = (tmp_path / "snap_step000.off").read_text().splitlines()
     n = space.n_vertices
-    coords = np.array([list(map(float, line.split()))
-                       for line in lines[2:2 + n]])
-    assert coords.shape == (n, 3) and np.isfinite(coords).all()
-    assert np.allclose(coords, dio.spectral_layout(space), rtol=0, atol=1e-6)
+    coords = [tuple(map(float, line.split())) for line in lines[2:2 + n]]
+    assert len(coords) == n and all(len(row) == 3 for row in coords)
+    assert all(math.isfinite(x) for row in coords for x in row)
+    layout = dio.spectral_layout(space)
+    assert all(abs(x - y) <= 1e-6 for row, want in zip(coords, layout)
+               for x, y in zip(row, want))
+
+
+def test_cli_export_does_not_import_numpy(octa_file, tmp_path):
+    # the layout is plain float arithmetic: loading the command line and
+    # exporting must not pull numpy in
+    script = ("import sys\n"
+              "import celltopo.cli\n"
+              "code = celltopo.cli.main(['export', sys.argv[1], '--out', "
+              "sys.argv[2]])\n"
+              "print(code, 'numpy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(celltopo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", script, octa_file, str(tmp_path / "snap")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-2:] == ["0", "False"]
+    assert (tmp_path / "snap_step000.off").exists()
 
 
 def test_off_snapshot(octa):
@@ -532,6 +564,21 @@ def test_unwritable_out_exits_2(argv, simplex4_file, tmp_path, capsys):
     assert "error: cannot write %s" % out in captured.err
     assert "Traceback" not in captured.err
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "flat", "separate",
+                                     "contract", "export"])
+def test_file_that_is_not_utf8_exits_2(command, tmp_path, capsys):
+    # bytes that do not decode as UTF-8 are reported like an unreadable
+    # file: one error line and exit 2, never a traceback
+    path = tmp_path / "binary.dsc"
+    path.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    assert cli.main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot read %s: " % path)
+    assert "can't decode" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 # -- malformed files ---------------------------------------------------------

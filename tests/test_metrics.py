@@ -7,6 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from celltopo import generators as gen
+from celltopo import metrics
 from celltopo.complexes import DiscreteSpace
 from celltopo.errors import InputError, PreconditionError
 from celltopo.metrics import (UNREACHABLE, graph_distance, k_cell_distance,
@@ -186,3 +187,30 @@ def test_cell_distance_matches_dual_graph_on_drawn_spaces(case, data):
     except InputError:
         assume(False)
     _check_against_dual(space, data.draw(st.integers(0, n - 1)))
+
+
+# -- the equality checker ------------------------------------------------------
+
+
+def test_distance_equality_reports_the_first_failing_pair():
+    bowtie = DiscreteSpace(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4),
+                               (2, 4)], {2: [(0, 1, 2), (2, 3, 4)]})
+    report = verify_distance_equality(bowtie)
+    assert report.problems == ["d(0, 3) = 2 but 2-cell distance is inf"]
+    strip = gen.strip_grid(3, 3, triangulated=True)
+    report = verify_distance_equality(strip)
+    assert report.problems == ["d(0, 2) = 2 but 2-cell distance is 3"]
+
+
+def test_distance_equality_walks_once_per_source_and_level(monkeypatch,
+                                                           simplex4):
+    walks = []
+    real = metrics._levels
+
+    def counted(*args, **kwargs):
+        walks.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_levels", counted)
+    assert verify_distance_equality(simplex4)
+    assert len(walks) == simplex4.n_vertices * simplex4.top_dim
